@@ -51,8 +51,8 @@ constexpr std::size_t kPhaseIters = 100;
 /// distance of its RAW/WAW dependences.
 constexpr std::size_t kRing = 64;
 /// Default histogram table size in words.  Sized so the table's signature
-/// slots (~44 bytes per slot per signature, ~45 MiB for the read/write
-/// pair) overflow the last-level cache — the sparse bucket probes are
+/// slots (16 bytes per slot per signature, 16 MiB for the read/write pair)
+/// overflow the last-level cache — the sparse bucket probes are
 /// genuine memory-latency stalls for the per-event kernel, while staying
 /// within reach of the prefetched-stream bandwidth of one core.
 constexpr std::size_t kHistWords = std::size_t{1} << 19;
@@ -100,7 +100,8 @@ std::vector<AccessEvent> make_loop_stream(std::size_t events,
     ev.var = var;
     while (phase_ctx.size() <= phase)
       phase_ctx.push_back(nest_forest().enter(
-          NestForest::kRoot, static_cast<std::uint32_t>(phase_ctx.size()) + 1));
+          NestForest::kRoot, static_cast<std::uint32_t>(phase_ctx.size()) + 1,
+          0));
     ev.ctx = phase_ctx[phase];
     ev.iters[0] = static_cast<std::uint32_t>(j) + 1;
     out.push_back(ev);
@@ -213,8 +214,8 @@ bool measure(ProfilerConfig cfg, const std::vector<AccessEvent>& stream,
 
 int main(int argc, char** argv) {
   std::size_t events = 4'000'000;
-  // Uniform-stream sizing: 16M distinct words against 8M slots of 44-byte
-  // SeqSlots (~350 MiB per signature) busts even a large server LLC, so its
+  // Uniform-stream sizing: 16M distinct words against 8M slots of 16-byte
+  // SeqSlots (128 MiB per signature) busts even a large server LLC, so its
   // slot probes are genuine memory-latency stalls.
   std::size_t working_set = std::size_t{1} << 24;  // words
   std::size_t slots = std::size_t{1} << 23;

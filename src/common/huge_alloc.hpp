@@ -1,5 +1,5 @@
 #pragma once
-// Transparent-huge-page allocator for large flat arrays.
+// Transparent-huge-page allocation for large flat arrays.
 //
 // A profiler-sized signature (hundreds of MB of slots) accessed in hashed
 // order misses the dTLB on nearly every probe when backed by 4 KiB pages,
@@ -137,7 +137,8 @@ inline void free(void* p, std::size_t bytes) {
 #endif
 
 /// alloc() with a zero-fill guarantee at every size — page-table directories
-/// (PackedShadowStore) read pointer slots before ever writing them.
+/// (PackedShadowStore) read pointer slots before ever writing them, and
+/// signature slot arrays rely on an all-zero slot being empty.
 inline void* alloc_zeroed(std::size_t bytes) {
   void* p = alloc(bytes);
   if (bytes < kHugeThreshold) std::memset(p, 0, bytes);
@@ -145,23 +146,5 @@ inline void* alloc_zeroed(std::size_t bytes) {
 }
 
 }  // namespace huge
-
-/// std::allocator drop-in backing large arrays with transparent huge pages.
-template <typename T>
-struct HugePageAllocator {
-  using value_type = T;
-
-  HugePageAllocator() = default;
-  template <typename U>
-  HugePageAllocator(const HugePageAllocator<U>&) {}
-
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(huge::alloc(n * sizeof(T)));
-  }
-  void deallocate(T* p, std::size_t n) { huge::free(p, n * sizeof(T)); }
-
-  template <typename U>
-  bool operator==(const HugePageAllocator<U>&) const { return true; }
-};
 
 }  // namespace depprof

@@ -33,9 +33,10 @@ inline void prefetch_rw(const void* p) {
 }
 
 /// Prefetches every cache line of the object at [p, p + bytes) with write
-/// intent.  Signature slots are 44/56 bytes, so a slot regularly straddles
-/// two lines; the second line's miss is otherwise exposed on the insert's
-/// store, which find() never touched.
+/// intent.  An object not aligned to its power-of-two size (a slot behind a
+/// hash-table node's key, or a 32-byte MT slot in a 16-byte-aligned array)
+/// can straddle two lines; the second line's miss is otherwise exposed on
+/// the insert's store, which find() never touched.
 inline void prefetch_obj_rw(const void* p, unsigned long bytes) {
   const char* c = static_cast<const char*>(p);
   prefetch_rw(c);

@@ -39,14 +39,19 @@ namespace depprof {
 static_assert(kNestLevels == kNestIters,
               "DepInfo level buckets mirror the event iteration window");
 
-/// Builds the slot recorded for an access.
+/// Builds the slot recorded for an access in a context of nest depth
+/// `depth`: the slot keeps the iteration at that depth, clamped to the
+/// window (a context deeper than kNestIters is only ever compared through
+/// an ancestor, whose iteration comes from the forest instead).
 template <typename Slot>
-Slot make_slot(const AccessEvent& ev) {
+Slot make_slot(const AccessEvent& ev, std::uint32_t depth) {
   Slot s;
   s.loc = ev.loc;
   s.tag = addr_tag(ev.addr);
   s.ctx = ev.ctx;
-  for (std::size_t i = 0; i < kNestIters; ++i) s.iters[i] = ev.iters[i];
+  s.iter = depth == 0
+               ? 0
+               : ev.iters[std::min<std::size_t>(depth, kNestIters) - 1];
   if constexpr (std::is_same_v<Slot, MtSlot>) {
     s.tid = ev.tid;
     s.flags = ev.flags;
@@ -66,12 +71,15 @@ Slot make_slot(const AccessEvent& ev) {
 /// advancing some iteration counter at or above the divergence point —
 /// every strictly higher level's counter is therefore equal for both
 /// endpoints, and the distance vector of the pair is zero everywhere except
-/// possibly at the LCA level itself.  That level's counters sit inside both
-/// events' root-anchored windows whenever its depth is <= kNestIters;
-/// deeper common levels degrade to "carried, distance unknown" (the >= 2
-/// bucket) rather than to any heuristic.
+/// possibly at the LCA level itself.  The sink's counter at that level sits
+/// in its root-anchored window whenever the level's depth is <= kNestIters;
+/// the source brings only its own-level iteration `src_iter`, so when the
+/// walk climbs the source path its counter at the LCA level is the
+/// `entry_iter` of the child just below the LCA (event.hpp's window
+/// invariant).  Deeper common levels degrade to "carried, distance unknown"
+/// (the >= 2 bucket) rather than to any heuristic.
 inline DepAttribution attribute_nest(std::uint32_t src_ctx,
-                                     const std::uint32_t* src_iters,
+                                     std::uint32_t src_iter,
                                      std::uint32_t sink_ctx,
                                      const std::uint32_t* sink_iters) {
   DepAttribution at;
@@ -81,8 +89,11 @@ inline DepAttribution attribute_nest(std::uint32_t src_ctx,
   std::uint32_t b = sink_ctx;
   std::uint32_t da = forest.depth(a);
   std::uint32_t db = forest.depth(b);
+  std::uint32_t ia = src_iter;  // source iteration at level da
   while (da > db) {
-    a = forest.parent(a);
+    const NestForest::Node& n = forest.node(a);
+    ia = n.entry_iter;
+    a = n.parent;
     --da;
   }
   while (db > da) {
@@ -90,7 +101,9 @@ inline DepAttribution attribute_nest(std::uint32_t src_ctx,
     --db;
   }
   while (a != b) {
-    a = forest.parent(a);
+    const NestForest::Node& n = forest.node(a);
+    ia = n.entry_iter;
+    a = n.parent;
     b = forest.parent(b);
     --da;
   }
@@ -98,7 +111,6 @@ inline DepAttribution attribute_nest(std::uint32_t src_ctx,
   at.loop = forest.loop(a);
   at.level = da;
   if (da <= kNestIters) {
-    const std::uint32_t ia = src_iters[da - 1];
     const std::uint32_t ib = sink_iters[da - 1];
     at.distance = ib > ia ? ib - ia : ia - ib;
     at.distance_known = true;
@@ -125,7 +137,7 @@ std::uint8_t classify_dep(const Slot& src, const AccessEvent& sink,
   at = {};
   const bool same_address = src.tag == addr_tag(sink.addr);
   if (same_address) {
-    at = attribute_nest(src.ctx, src.iters, sink.ctx, sink.iters);
+    at = attribute_nest(src.ctx, src.iter, sink.ctx, sink.iters);
     if (at.loop != 0 && (!at.distance_known || at.distance != 0))
       f |= kLoopCarried;
     if (src.ctx != sink.ctx &&
@@ -264,14 +276,14 @@ class DetectorCore {
       if (const Slot* r = sig_read_.find(ev.addr)) {
         emit(ev, *r, DepType::kWar, sink);
       }
-      sig_write_.insert(ev.addr, make_slot<Slot>(ev));
+      sig_write_.insert(ev.addr, make_slot<Slot>(ev, ctx_depth(ev.ctx)));
     } else {
       // RAR dependences are ignored (Sec. III-B): most analyses do not need
       // them, so reads only consult the write signature.
       if (const Slot* w = sig_write_.find(ev.addr)) {
         emit(ev, *w, DepType::kRaw, sink);
       }
-      sig_read_.insert(ev.addr, make_slot<Slot>(ev));
+      sig_read_.insert(ev.addr, make_slot<Slot>(ev, ctx_depth(ev.ctx)));
     }
   }
 
@@ -352,8 +364,20 @@ class DetectorCore {
     return k;
   }
 
+  /// Nest depth of `ctx`, memoized for the run of events that share one
+  /// context (a loop body) so the slot build skips the forest lookup.
+  std::uint32_t ctx_depth(std::uint32_t ctx) {
+    if (ctx != depth_ctx_) {
+      depth_ctx_ = ctx;
+      depth_ = nest_forest().depth(ctx);
+    }
+    return depth_;
+  }
+
   Store sig_read_;
   Store sig_write_;
+  std::uint32_t depth_ctx_ = NestForest::kRoot;
+  std::uint32_t depth_ = 0;  ///< depth of depth_ctx_ (root: 0)
 };
 
 }  // namespace depprof

@@ -277,11 +277,25 @@ class ParallelProfiler final : public IProfiler {
   /// per-worker runs appended chunk-wise.  `reps` (nullable) carries the
   /// front-end RLE run lengths: a run is routed and staged once — packed
   /// with its rep count, or expanded at staging when packing is off.
-  /// Batches containing lock-region accesses keep the per-event path: those
-  /// must push the moment they are staged so access + push stay atomic
-  /// (Fig. 4).
+  /// Batches containing lock-region accesses or burst markers stage event
+  /// by event instead: lock-region accesses must push the moment they are
+  /// staged so access + push stay atomic (Fig. 4), and markers are
+  /// broadcast in stream order.
+  ///
+  /// Load balancing runs only once the whole sub-batch is staged.  Every
+  /// destination below is computed against the routing in force at entry,
+  /// and a rebalance between an event's routing and its staging would send
+  /// it to the old owner after the address's state was handed off (the
+  /// lost write tests/corpus/lb-sampled-pack-midstage-rebalance.repro
+  /// replays); one in the middle of a marker broadcast would hand pre-gap
+  /// state to a worker that had already cleared.
+  ///
+  /// Stage clocks are read per sub-batch, never per event: canonicalizing
+  /// and staging are produce time, routing and load balancing route time,
+  /// and backpressure waits are left to block_ns.
   void scatter(ProduceStage& prod, const AccessEvent* events,
                const std::uint32_t* reps, std::size_t n) {
+    const std::uint64_t t0 = WallTimer::now();
     std::array<AccessEvent, kScatterBatch> unit;
     std::array<unsigned, kScatterBatch> dest;
     bool lock_region = false;
@@ -294,13 +308,22 @@ class ParallelProfiler final : public IProfiler {
       lock_region |= (unit[i].flags & kInLockRegion) != 0;
       has_marker |= unit[i].is_burst_mark();
     }
+    const std::uint64_t t1 = WallTimer::now();
     const bool sample = lb_enabled_ && !cfg_.mt_targets;
+    router_.route_batch(unit.data(), n, dest.data());
+    if (sample)
+      for (std::size_t i = 0; i < n; ++i)
+        if (!unit[i].is_burst_mark()) router_.record_access(unit[i].addr);
+    const std::uint64_t t2 = WallTimer::now();
+    std::uint64_t blocked = 0;
+    const auto push = [&](Chunk* c, unsigned w) {
+      blocked += push_chunk(c, w);
+    };
     const unsigned W = obs_.workers();
     if (lock_region || has_marker || W > kMaxScatterWorkers) {
-      // Per-event fallback.  Routing is re-consulted per event because a
-      // push below can trigger a rebalance that changes it mid-batch.  With
-      // packing on, staging must stay packed: a worker's pending chunk may
-      // already hold wire records, and a raw append would corrupt it.
+      // Per-event fallback.  With packing on, staging must stay packed: a
+      // worker's pending chunk may already hold wire records, and a raw
+      // append would corrupt it.
       for (std::size_t i = 0; i < n; ++i) {
         const std::uint32_t rep = reps != nullptr ? reps[i] : 1;
         if (unit[i].is_burst_mark()) {
@@ -317,27 +340,21 @@ class ParallelProfiler final : public IProfiler {
             if (cfg_.pack) {
               const std::uint32_t one = 1;
               prod.add_run_packed(w, &unit[i], &one, 1, chunk_fill_,
-                                  obs_.produce(),
-                                  [this](Chunk* c, unsigned worker) {
-                                    push_chunk(c, worker);
-                                  });
+                                  obs_.produce(), push);
             } else if (Chunk* ready = prod.add(w, unit[i], chunk_fill_)) {
-              push_chunk(ready, w);
+              push(ready, w);
             }
           }
           continue;
         }
-        const unsigned w = router_.route(unit[i].addr);
+        const unsigned w = dest[i];
         if (cfg_.pack) {
           prod.add_run_packed(w, &unit[i], &rep, 1, chunk_fill_,
-                              obs_.produce(),
-                              [this](Chunk* c, unsigned worker) {
-                                push_chunk(c, worker);
-                              });
+                              obs_.produce(), push);
           // Lock-region accesses must be pushed the moment they are staged
           // (Fig. 4), even from a part-full chunk.
           if ((unit[i].flags & kInLockRegion) != 0)
-            if (Chunk* ready = prod.take(w)) push_chunk(ready, w);
+            if (Chunk* ready = prod.take(w)) push(ready, w);
         } else {
           // Runs expanded — lock-region events are never deduped, so reps
           // beyond 1 only reach here via trace replay.
@@ -345,60 +362,57 @@ class ParallelProfiler final : public IProfiler {
             Chunk* ready = prod.add(w, unit[i], chunk_fill_);
             if (ready == nullptr && (unit[i].flags & kInLockRegion) != 0)
               ready = prod.take(w);
-            if (ready != nullptr) push_chunk(ready, w);
+            if (ready != nullptr) push(ready, w);
           }
         }
-        if (sample) router_.record_access(unit[i].addr);
       }
-      return;
+    } else {
+      // Counting sort into contiguous per-worker runs (stable, so
+      // per-worker program order is preserved — the soundness invariant of
+      // Fig. 2).
+      std::array<std::uint32_t, kMaxScatterWorkers> offset{};
+      for (std::size_t i = 0; i < n; ++i) ++offset[dest[i]];
+      std::uint32_t sum = 0;
+      for (unsigned w = 0; w < W; ++w) {
+        const std::uint32_t c = offset[w];
+        offset[w] = sum;
+        sum += c;
+      }
+      std::array<AccessEvent, kScatterBatch> run;
+      std::array<std::uint32_t, kScatterBatch> run_reps;
+      std::array<std::uint32_t, kMaxScatterWorkers> start;
+      for (unsigned w = 0; w < W; ++w) start[w] = offset[w];
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t slot = offset[dest[i]]++;
+        run[slot] = unit[i];
+        run_reps[slot] = reps != nullptr ? reps[i] : 1;
+      }
+      for (unsigned w = 0; w < W; ++w) {
+        if (start[w] == offset[w]) continue;
+        const std::size_t len = offset[w] - start[w];
+        if (cfg_.pack)
+          prod.add_run_packed(w, run.data() + start[w],
+                              run_reps.data() + start[w], len, chunk_fill_,
+                              obs_.produce(), push);
+        else if (reps != nullptr)
+          prod.add_run_rle(w, run.data() + start[w],
+                           run_reps.data() + start[w], len, chunk_fill_, push);
+        else
+          prod.add_run(w, run.data() + start[w], len, chunk_fill_, push);
+      }
     }
-    router_.route_batch(unit.data(), n, dest.data());
-    if (sample)
-      for (std::size_t i = 0; i < n; ++i) router_.record_access(unit[i].addr);
-    // Counting sort into contiguous per-worker runs (stable, so per-worker
-    // program order is preserved — the soundness invariant of Fig. 2).
-    std::array<std::uint32_t, kMaxScatterWorkers> offset{};
-    for (std::size_t i = 0; i < n; ++i) ++offset[dest[i]];
-    std::uint32_t sum = 0;
-    for (unsigned w = 0; w < W; ++w) {
-      const std::uint32_t c = offset[w];
-      offset[w] = sum;
-      sum += c;
-    }
-    std::array<AccessEvent, kScatterBatch> run;
-    std::array<std::uint32_t, kScatterBatch> run_reps;
-    std::array<std::uint32_t, kMaxScatterWorkers> start;
-    for (unsigned w = 0; w < W; ++w) start[w] = offset[w];
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t slot = offset[dest[i]]++;
-      run[slot] = unit[i];
-      run_reps[slot] = reps != nullptr ? reps[i] : 1;
-    }
-    // Rebalancing is deferred to the end of the sub-batch: the destinations
-    // above were computed against the current routing, and a mid-batch
-    // routing change would strand the tail of a run on the old owner.
-    const auto push = [this](Chunk* c, unsigned worker) {
-      enqueue(worker, c);
-      obs_.produce().chunks.fetch_add(1, std::memory_order_relaxed);
-    };
-    for (unsigned w = 0; w < W; ++w) {
-      if (start[w] == offset[w]) continue;
-      const std::size_t len = offset[w] - start[w];
-      if (cfg_.pack)
-        prod.add_run_packed(w, run.data() + start[w],
-                            run_reps.data() + start[w], len, chunk_fill_,
-                            obs_.produce(), push);
-      else if (reps != nullptr)
-        prod.add_run_rle(w, run.data() + start[w], run_reps.data() + start[w],
-                         len, chunk_fill_, push);
-      else
-        prod.add_run(w, run.data() + start[w], len, chunk_fill_, push);
-    }
+    const std::uint64_t t3 = WallTimer::now();
+    obs_.produce().add_busy_ns((t1 - t0) + (t3 - t2 - blocked));
+    std::uint64_t route_ns = t2 - t1;
     if (sample) {
       const std::uint64_t produced =
           obs_.produce().chunks.load(std::memory_order_relaxed);
-      if (router_.due(produced)) rebalance(produced);
+      if (router_.due(produced)) {
+        const std::uint64_t lb_blocked = rebalance(produced);
+        route_ns += WallTimer::now() - t3 - lb_blocked;
+      }
     }
+    obs_.route().add_busy_ns(route_ns);
   }
 
   /// Stage of the *calling* thread.  Keying on the caller (not on the
@@ -433,52 +447,61 @@ class ParallelProfiler final : public IProfiler {
     return producer_owned_.back().get();
   }
 
-  void push_chunk(Chunk* c, unsigned w) {
-    enqueue(w, c);
-    const std::uint64_t produced =
-        obs_.produce().chunks.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (lb_enabled_ && !cfg_.mt_targets && router_.due(produced))
-      rebalance(produced);
+  /// Hands a staged chunk to worker w; returns the wall time spent blocked
+  /// on backpressure (see enqueue).
+  std::uint64_t push_chunk(Chunk* c, unsigned w) {
+    const std::uint64_t blocked = enqueue(w, c);
+    obs_.produce().chunks.fetch_add(1, std::memory_order_relaxed);
+    return blocked;
   }
 
   /// Pushes `c`, applying the wait strategy when worker w's queue is full
-  /// (bounded backpressure: the block time is charged to the produce stage)
-  /// and waking the worker if it parked on an empty queue.
-  void enqueue(unsigned w, Chunk* c) {
+  /// (bounded backpressure: the block time is charged to the produce stage
+  /// and returned, so callers can keep it out of their busy time) and
+  /// waking the worker if it parked on an empty queue.
+  std::uint64_t enqueue(unsigned w, Chunk* c) {
     obs::StageStats& prod = obs_.produce();
     if (c->kind == Chunk::Kind::kData) prod.add_bytes_on_wire(c->wire_bytes());
     // Commit ownership to worker w's queue BEFORE the push publishes the
     // chunk — the worker may pop it the instant try_push succeeds.
     chunk_handoff(*c, Chunk::kOwnerProducer, Chunk::kOwnerQueued | w,
                   "queue.push");
+    std::uint64_t blocked = 0;
     if (!queues_[w]->try_push(c)) {
       prod.add_stalls(1);
       const std::uint64_t t0 = WallTimer::now();
       const WaitCounters wc = wait_until(
           wait_, gates_[w].not_full, [&] { return queues_[w]->try_push(c); });
-      prod.add_block_ns(WallTimer::now() - t0);
+      blocked = WallTimer::now() - t0;
+      prod.add_block_ns(blocked);
       prod.add_parked_ns(wc.parked_ns);
       prod.add_parks(wc.parks);
     }
     prod.add_wakes(gates_[w].not_empty.notify_all());
     prod.raise_queue_depth(queues_[w]->size_approx());
+    return blocked;
   }
 
   // --- load balancing (Sec. IV-A) ---------------------------------------
 
-  void rebalance(std::uint64_t chunks_produced) {
+  /// Executes the balancer's decisions; returns the wall time spent blocked
+  /// on backpressure (queues and mailboxes).
+  std::uint64_t rebalance(std::uint64_t chunks_produced) {
+    std::uint64_t blocked = 0;
     for (const Migration& m : router_.evaluate(chunks_produced)) {
       // Flush staged accesses of the old owner so they arrive before the
       // handoff chunk; FIFO order makes the migration sound (see
       // chunk.hpp).  Only reachable with sequential targets, whose single
       // producing thread is the caller.
       ProduceStage& prod = producer_for_caller();
-      if (Chunk* c = prod.take(m.from)) push_chunk(c, m.from);
-      hand_off(m);
+      if (Chunk* c = prod.take(m.from)) blocked += push_chunk(c, m.from);
+      blocked += hand_off(m);
     }
+    return blocked;
   }
 
-  void hand_off(const Migration& m) {
+  std::uint64_t hand_off(const Migration& m) {
+    std::uint64_t blocked = 0;
     std::uint32_t mb = 0;
     if (!mailbox_free_.try_pop(mb)) {
       // All mailboxes in flight: wait for an adopting worker to return one
@@ -486,7 +509,8 @@ class ParallelProfiler final : public IProfiler {
       const std::uint64_t t0 = WallTimer::now();
       const WaitCounters wc = wait_until(
           wait_, mailbox_ec_, [&] { return mailbox_free_.try_pop(mb); });
-      obs_.produce().add_block_ns(WallTimer::now() - t0);
+      blocked = WallTimer::now() - t0;
+      obs_.produce().add_block_ns(blocked);
       obs_.produce().add_parked_ns(wc.parked_ns);
       obs_.produce().add_parks(wc.parks);
     }
@@ -496,13 +520,14 @@ class ParallelProfiler final : public IProfiler {
     out->kind = Chunk::Kind::kMigrateOut;
     out->addr = m.addr;
     out->payload = mb;
-    enqueue(m.from, out);
+    blocked += enqueue(m.from, out);
 
     Chunk* in = pool_.acquire();
     in->kind = Chunk::Kind::kAdopt;
     in->addr = m.addr;
     in->payload = mb;
-    enqueue(m.to, in);
+    blocked += enqueue(m.to, in);
+    return blocked;
   }
 
   // --- worker side ------------------------------------------------------

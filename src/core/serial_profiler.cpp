@@ -38,14 +38,18 @@ class SerialProfiler final : public IProfiler {
     // raw event bytes handed across the stage boundary — the serial
     // baseline the packed parallel encoding is measured against.
     obs_.produce().add_bytes_on_wire(count * sizeof(AccessEvent));
-    // Canonicalize to the word-granular address unit once, here.
+    // Canonicalize to the word-granular address unit once, here.  The copy
+    // is the produce stage's work, timed per unit batch (detect times
+    // itself).
     std::array<AccessEvent, kUnitBatch> unit;
     while (count > 0) {
+      const std::uint64_t t0 = WallTimer::now();
       const std::size_t n = std::min(count, unit.size());
       for (std::size_t i = 0; i < n; ++i) {
         unit[i] = events[i];
         unit[i].addr = word_addr(events[i].addr);
       }
+      obs_.produce().add_busy_ns(WallTimer::now() - t0);
       detect_.process(unit.data(), n);
       events += n;
       count -= n;
@@ -63,9 +67,17 @@ class SerialProfiler final : public IProfiler {
     // One record per RLE run crosses the stage boundary.
     obs_.produce().add_bytes_on_wire(count * sizeof(AccessEvent));
     // Expand runs during the canonicalization copy: the detect kernel
-    // consumes the same raw event stream either way.
+    // consumes the same raw event stream either way.  The copy is produce
+    // time, clocked around each handed-off unit batch.
     std::array<AccessEvent, kUnitBatch> unit;
     std::size_t fill = 0;
+    std::uint64_t t0 = WallTimer::now();
+    const auto hand_off = [&] {
+      obs_.produce().add_busy_ns(WallTimer::now() - t0);
+      detect_.process(unit.data(), fill);
+      fill = 0;
+      t0 = WallTimer::now();
+    };
     for (std::size_t i = 0; i < count; ++i) {
       AccessEvent ev = events[i];
       ev.addr = word_addr(events[i].addr);
@@ -75,13 +87,10 @@ class SerialProfiler final : public IProfiler {
         std::fill_n(unit.data() + fill, n, ev);
         fill += n;
         rep -= static_cast<std::uint32_t>(n);
-        if (fill == unit.size()) {
-          detect_.process(unit.data(), fill);
-          fill = 0;
-        }
+        if (fill == unit.size()) hand_off();
       }
     }
-    if (fill > 0) detect_.process(unit.data(), fill);
+    if (fill > 0) hand_off();
   }
 
   void finish() override {

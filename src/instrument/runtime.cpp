@@ -332,7 +332,9 @@ void Runtime::loop_begin(std::uint32_t file, std::uint32_t line) {
       ts.loop_stack.empty() ? NestForest::kRoot : ts.loop_stack.back().node;
   const std::uint32_t parent_loop =
       ts.loop_stack.empty() ? 0 : ts.loop_stack.back().loop_id;
-  const std::uint32_t node = nest_forest().enter(parent_node, loc);
+  const std::uint32_t parent_iter =
+      ts.loop_stack.empty() ? 0 : ts.loop_stack.back().iter;
+  const std::uint32_t node = nest_forest().enter(parent_node, loc, parent_iter);
   ts.loop_stack.push_back({loc, node, 0});
   std::lock_guard lock(cf_mu_);
   auto [it, inserted] = loops_.try_emplace(loc);

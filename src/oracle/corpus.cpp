@@ -50,12 +50,16 @@ constexpr std::string_view kVersionLineV6 = "depfuzz-repro v6";
 // races=) regardless of whether the run sampled or raced.
 constexpr std::string_view kVersionLineV7 = "depfuzz-repro v7";
 
-/// File-scoped nest state threaded through event parsing.
+/// File-scoped nest state threaded through event parsing.  Events hold
+/// loader-local context ids until the whole file has parsed: the nest
+/// directives do not record entry iterations, so the table is interned only
+/// after every event has fixed (or contradicted) them.
 struct NestParseState {
-  /// v3: file-local nest id -> process forest id (id 0 preseeded to root).
+  NestTableLoader table;
+  /// v3: file nest id -> loader-local id (id 0 preseeded to root).
   std::unordered_map<std::uint32_t, std::uint32_t> id_map{{0, 0}};
-  /// v1/v2 compat: (parent forest id, loop, entry) -> forest id, so the
-  /// same dynamic entry named by several events re-interns to one node.
+  /// v1/v2 compat: (parent local id, loop, entry) -> local id, so the same
+  /// dynamic entry named by several events re-interns to one node.
   std::map<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>,
            std::uint32_t>
       legacy_chain;
@@ -283,7 +287,7 @@ bool parse_sched_line(const std::vector<std::string_view>& toks,
   return true;
 }
 
-/// v3 `nest id=N parent=P loop=L` directive: interns one dynamic entry.
+/// v3 `nest id=N parent=P loop=L` directive: declares one dynamic entry.
 /// Parents must be declared (or 0) before their children; all three keys
 /// are required — a defaulted parent/loop would silently re-shape the nest.
 bool parse_nest_line(const std::vector<std::string_view>& toks,
@@ -323,7 +327,7 @@ bool parse_nest_line(const std::vector<std::string_view>& toks,
     return false;
   }
   nest.id_map[static_cast<std::uint32_t>(id)] =
-      nest_forest().enter(pit->second, static_cast<std::uint32_t>(loop));
+      nest.table.declare(pit->second, static_cast<std::uint32_t>(loop));
   return true;
 }
 
@@ -342,7 +346,7 @@ bool apply_legacy_loops(AccessEvent& ev, std::string_view value,
     if (l[i] == 0) continue;
     const auto key = std::make_tuple(parent, l[i], e[i]);
     auto [pos, inserted] = nest.legacy_chain.try_emplace(key, 0);
-    if (inserted) pos->second = nest_forest().enter(parent, l[i]);
+    if (inserted) pos->second = nest.table.declare(parent, l[i]);
     parent = pos->second;
     if (depth < kNestIters) ev.iters[depth] = it[i];
     ++depth;
@@ -626,6 +630,10 @@ bool parse_repro(ReproCase& out, std::string_view text, std::string* error) {
       AccessEvent ev;
       if (!parse_event_line(toks, ev, version, nest, err))
         return set_error(error, line_no, err);
+      if (!nest.table.observe(ev.ctx, ev.iters))
+        return set_error(error, line_no,
+                         "event iters contradict an earlier event's ancestor "
+                         "iterations in the same nest entry");
       repro.trace.events.push_back(ev);
     } else {
       return set_error(error, line_no,
@@ -634,6 +642,8 @@ bool parse_repro(ReproCase& out, std::string_view text, std::string* error) {
   }
   if (version == 0) return set_error(error, 0, "empty file");
   if (!saw_config) return set_error(error, line_no, "missing config line");
+  const std::vector<std::uint32_t> forest_id = nest.table.intern();
+  for (AccessEvent& ev : repro.trace.events) ev.ctx = forest_id[ev.ctx];
   out = std::move(repro);
   return true;
 }

@@ -2,7 +2,7 @@
 // Packed paged shadow memory (SLAMP/PROMPT-style exact store).
 //
 // The exact baselines pay for precision in cache traffic: PerfectSignature
-// and HashTableRecorder keep a full 40/56-byte slot per live address behind
+// and HashTableRecorder keep a full 16/32-byte slot per live address behind
 // a hash probe, so every access touches a bucket walk plus one or two slot
 // lines scattered across a node heap.  SLAMP's shadow memory shows the
 // production alternative: a lazily-allocated page table whose leaf pages
@@ -20,9 +20,9 @@
 //   loc   — packed SourceLocation of the last access (slots.hpp); loc != 0
 //           for every recorded access, so the zero word doubles as the
 //           empty sentinel and fresh mmap pages are valid empty pages.
-//   token — interned (ctx, iters[kNestIters]) nest snapshot.  SLAMP packs
-//           {instr:20, timestamp:44}; our "timestamp" is the root-anchored
-//           iteration window that nest attribution needs, which repeats
+//   token — interned (ctx, iter) nest snapshot.  SLAMP packs
+//           {instr:20, timestamp:44}; our "timestamp" is the slot's nest
+//           context and own-level iteration (sig/slots.hpp), which repeats
 //           across the few hundred accesses of a loop iteration — so it
 //           interns into a small refcounted table instead of truncating.
 //   tag   — NOT stored: the store is exact, so the recorded address equals
@@ -69,7 +69,7 @@
 
 namespace depprof {
 
-/// Refcounted interner of (ctx, iters) nest snapshots — the 31-bit-safe
+/// Refcounted interner of (ctx, iter) nest snapshots — the 31-bit-safe
 /// "timestamp" half of the packed word.  Loop streams reuse one snapshot
 /// across every access of an iteration, so the table stays at the number of
 /// *live distinct* snapshots (bounded by resident words, in practice a
@@ -79,21 +79,20 @@ class NestSnapshotIntern {
  public:
   struct Key {
     std::uint32_t ctx = 0;
-    std::uint32_t iters[kNestIters] = {};
+    std::uint32_t iter = 0;
     friend bool operator==(const Key&, const Key&) = default;
   };
 
   struct KeyHash {
     std::size_t operator()(const Key& k) const {
-      std::uint64_t h = k.ctx;
-      for (const std::uint32_t it : k.iters) h = mix64(h ^ it);
-      return static_cast<std::size_t>(h);
+      return static_cast<std::size_t>(
+          mix64((std::uint64_t{k.ctx} << 32) | k.iter));
     }
   };
 
   /// Interns `k` (or bumps its refcount).  The one-entry cache makes the
-  /// common repeat — same snapshot as the previous acquire — eight u32
-  /// compares, no hash probe.
+  /// common repeat — same snapshot as the previous acquire — one 8-byte
+  /// compare, no hash probe.
   std::uint32_t acquire(const Key& k) {
     if (last_id_ != kNoId && keys_[last_id_] == k) {
       ++refs_[last_id_];
@@ -236,7 +235,7 @@ class PackedShadowStore {
     scratch_.tag = addr_tag(addr);  // exact store: recorded addr == probed
     const NestSnapshotIntern::Key& k = intern_.key(word_token(w));
     scratch_.ctx = k.ctx;
-    for (std::size_t i = 0; i < kNestIters; ++i) scratch_.iters[i] = k.iters[i];
+    scratch_.iter = k.iter;
     if constexpr (kMt) {
       const Sidecar& side = page->side[off];
       scratch_.tid = side.tid;
@@ -254,9 +253,7 @@ class PackedShadowStore {
     Page& page = touch_page(addr);
     const std::size_t off = offset(addr);
     std::uint64_t& w = page.words[off];
-    NestSnapshotIntern::Key k;
-    k.ctx = value.ctx;
-    for (std::size_t i = 0; i < kNestIters; ++i) k.iters[i] = value.iters[i];
+    const NestSnapshotIntern::Key k{value.ctx, value.iter};
     // Acquire before release so an overwrite with the same snapshot never
     // bounces its refcount through zero (and out of the intern table).
     const std::uint32_t token = intern_.acquire(k);

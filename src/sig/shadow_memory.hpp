@@ -42,9 +42,8 @@ class ShadowMemory {
     const Page* page = find_page(addr);
     if (page == nullptr) return nullptr;
     const std::size_t off = offset(addr);
-    // Issue the slot's lines the moment the walk resolves, before the
-    // empty()/caller loads reach them: a 40/56-byte slot regularly straddles
-    // two lines and the second line's miss is otherwise exposed on the
+    // Issue the slot's line the moment the walk resolves, before the
+    // empty()/caller loads reach it: its miss is otherwise exposed on the
     // caller's compare (and on the insert that usually follows).
     if (walk_assist()) prefetch_obj_rw(&page->slots[off], sizeof(Slot));
     const Slot& s = page->slots[off];

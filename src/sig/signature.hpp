@@ -11,9 +11,12 @@
 // false-positive/false-negative trade quantified in Table I and modelled by
 // formula 2 (see fpr_model.hpp).
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <optional>
-#include <vector>
+#include <type_traits>
+#include <utility>
 
 #include "common/hash.hpp"
 #include "common/huge_alloc.hpp"
@@ -42,13 +45,32 @@ class Signature {
 
   /// Creates a signature with `slot_count` slots (>= 1).  Memory is charged
   /// against MemComponent::kSignatures for Figures 7/8 accounting.
+  ///
+  /// The slot array comes zero-filled from huge::alloc_zeroed — fresh
+  /// anonymous pages at profiler sizes — and an all-zero Slot is the empty
+  /// slot, so construction writes nothing: only pages the target's
+  /// addresses actually hash to are ever faulted in.
   explicit Signature(std::size_t slot_count, SigHash hash = SigHash::kModulo)
       : hash_(hash),
-        slots_(slot_count ? slot_count : 1),
-        mask_((slots_.size() & (slots_.size() - 1)) == 0 ? slots_.size() - 1
-                                                         : 0),
+        size_(slot_count ? slot_count : 1),
+        slots_(static_cast<Slot*>(huge::alloc_zeroed(size_ * sizeof(Slot)))),
+        mask_((size_ & (size_ - 1)) == 0 ? size_ - 1 : 0),
         charge_(MemComponent::kSignatures,
-                static_cast<std::int64_t>(sizeof(Slot) * (slot_count ? slot_count : 1))) {}
+                static_cast<std::int64_t>(size_ * sizeof(Slot))) {}
+
+  ~Signature() {
+    if (slots_ != nullptr) huge::free(slots_, size_ * sizeof(Slot));
+  }
+
+  Signature(const Signature&) = delete;
+  Signature& operator=(const Signature&) = delete;
+  Signature(Signature&& o) noexcept
+      : hash_(o.hash_),
+        size_(o.size_),
+        slots_(std::exchange(o.slots_, nullptr)),
+        mask_(o.mask_),
+        occupied_(o.occupied_),
+        charge_(std::move(o.charge_)) {}
 
   /// Membership check: returns the recorded slot for `addr`, or nullptr if
   /// the slot is empty.  Note that a non-empty slot may have been written by
@@ -88,7 +110,7 @@ class Signature {
 
   /// Hints the slot for `addr` into cache (batched kernel, K events ahead).
   /// Write intent: nearly every probe is followed by an insert to the same
-  /// slot, and a Slot regularly straddles two cache lines.
+  /// slot.
   void prefetch(std::uint64_t addr) const {
     prefetch_obj_rw(&slots_[index(addr)], sizeof(Slot));
   }
@@ -97,24 +119,27 @@ class Signature {
   /// occupied in both signatures.  An address inserted into both is
   /// guaranteed to be counted.
   std::size_t intersect_count(const Signature& other) const {
-    const std::size_t n = std::min(slots_.size(), other.slots_.size());
+    const std::size_t n = std::min(size_, other.size_);
     std::size_t count = 0;
     for (std::size_t i = 0; i < n; ++i)
       if (!slots_[i].empty() && !other.slots_[i].empty()) ++count;
     return count;
   }
 
+  /// Empties every slot.  An already-empty signature is left untouched, so
+  /// a burst mark that arrives before any access faults in no pages.
   void clear() {
-    for (auto& s : slots_) s = Slot{};
+    if (occupied_ == 0) return;
+    std::memset(static_cast<void*>(slots_), 0, size_ * sizeof(Slot));
     occupied_ = 0;
   }
 
-  std::size_t slot_count() const { return slots_.size(); }
+  std::size_t slot_count() const { return size_; }
   std::size_t occupied() const { return occupied_; }
   double load_factor() const {
-    return static_cast<double>(occupied_) / static_cast<double>(slots_.size());
+    return static_cast<double>(occupied_) / static_cast<double>(size_);
   }
-  std::size_t bytes() const { return slots_.size() * sizeof(Slot); }
+  std::size_t bytes() const { return size_ * sizeof(Slot); }
 
  private:
   std::size_t index(std::uint64_t addr) const {
@@ -123,14 +148,18 @@ class Signature {
     // up to five times per event (find/find/insert plus two prefetches in
     // the batched kernel), so sparing the 64-bit division matters.
     if (mask_ != 0) return static_cast<std::size_t>(h & mask_);
-    return static_cast<std::size_t>(h % slots_.size());
+    return static_cast<std::size_t>(h % size_);
   }
 
+  // An all-zero byte pattern must be the empty slot (see the constructor).
+  static_assert(std::is_trivially_copyable_v<Slot>);
+
   SigHash hash_;
-  /// Slot array on transparent huge pages: at profiler sizes (hundreds of
-  /// MB) hashed probing misses the dTLB on every access with 4 KiB pages,
-  /// and the page-walk stalls would defeat the batched kernel's prefetches.
-  std::vector<Slot, HugePageAllocator<Slot>> slots_;
+  std::size_t size_;
+  /// Slot array on transparent huge pages: at profiler sizes (tens of MB)
+  /// hashed probing misses the dTLB on every access with 4 KiB pages, and
+  /// the page-walk stalls would defeat the batched kernel's prefetches.
+  Slot* slots_;
   std::uint64_t mask_;  ///< size - 1 when size is a power of two, else 0
   std::size_t occupied_ = 0;
   ScopedMemCharge charge_;

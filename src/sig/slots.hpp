@@ -6,15 +6,18 @@
 // "each slot of the array is three bytes long ... so that the source line
 // number ... can be stored in it"; the evaluation uses 4-byte slots).
 //
-// Our slots additionally record the nest context of the access (the
-// interned innermost dynamic loop entry plus the root-anchored iteration
-// window — see trace/nest.hpp and trace/event.hpp), which is what the
-// Sec. VII-A parallelism discovery needs to tell loop-carried from
-// intra-iteration dependences at every nest level, and — in the MT layout
-// (Sec. V) — the accessing thread id and the global timestamp used for race
-// detection.
-// The slot size remains a small constant, so the signature's bounded-memory
-// property is unchanged; only the constant differs from the paper's 4 bytes.
+// Our slots additionally record the nest context of the access — the
+// interned innermost dynamic loop entry (trace/nest.hpp) and the access's
+// iteration at that entry's own level — which is what the Sec. VII-A
+// parallelism discovery needs to tell loop-carried from intra-iteration
+// dependences at every nest level, and — in the MT layout (Sec. V) — the
+// accessing thread id and the global timestamp used for race detection.
+// The iterations of enclosing levels are not stored: they are a property of
+// the loop entry, not of the access, so the detector reads them from the
+// forest's `entry_iter` (event.hpp's window invariant).  That keeps the
+// sequential slot at 16 bytes and the MT slot at 32 — a small constant, so
+// the signature's bounded-memory property is unchanged; only the constant
+// differs from the paper's 4 bytes.
 //
 // Address tag: a hash collision in the paper's line-only slots usually
 // produces an *identical* dependence record (same array, same lines), which
@@ -44,7 +47,8 @@ struct SeqSlot {
   std::uint32_t loc = 0;  ///< packed SourceLocation of the last access; 0 = empty
   std::uint32_t tag = 0;  ///< addr_tag of the recorded address
   std::uint32_t ctx = 0;  ///< innermost dynamic loop entry (NestForest id)
-  std::uint32_t iters[kNestIters] = {};  ///< root-anchored iteration window
+  /// Iteration at ctx's own depth, clamped to the event window (make_slot).
+  std::uint32_t iter = 0;
 
   bool empty() const { return loc == 0; }
   SourceLocation location() const { return SourceLocation::from_packed(loc); }
@@ -55,11 +59,10 @@ struct MtSlot {
   std::uint32_t loc = 0;  ///< packed SourceLocation of the last access; 0 = empty
   std::uint32_t tag = 0;  ///< addr_tag of the recorded address
   std::uint32_t ctx = 0;  ///< innermost dynamic loop entry (NestForest id)
-  std::uint32_t iters[kNestIters] = {};  ///< root-anchored iteration window
+  std::uint32_t iter = 0;  ///< iteration at ctx's own depth (see SeqSlot)
   std::uint32_t tid = 0;  ///< target-program thread id of the last access
   /// AccessFlags of the last access (kInLockRegion feeds the Sec. V-B lock
-  /// suppression).  Fills the alignment hole before `ts`, so the MT slot
-  /// stays at 56 bytes.
+  /// suppression).  Fills the alignment hole before `ts`.
   std::uint32_t flags = 0;
   std::uint64_t ts = 0;  ///< global timestamp of the last access (race check)
 
@@ -67,7 +70,7 @@ struct MtSlot {
   SourceLocation location() const { return SourceLocation::from_packed(loc); }
 };
 
-static_assert(sizeof(SeqSlot) == 40);
-static_assert(sizeof(MtSlot) == 56);
+static_assert(sizeof(SeqSlot) == 16);
+static_assert(sizeof(MtSlot) == 32);
 
 }  // namespace depprof

@@ -18,6 +18,16 @@
 // the common depth is <= kNestIters, regardless of how deep the endpoints
 // themselves are.  Deeper common levels (nests beyond kNestIters) degrade
 // conservatively to "carried, distance >= 2" — never to a heuristic.
+//
+// Window invariant: the iterations above an access's own level are those of
+// its enclosing entries, fixed when each entry was entered — for every node
+// n on ctx's path with 2 <= depth(n) <= kNestIters + 1,
+// iters[depth(n) - 2] == NestForest::entry_iter(n).  Every producer that
+// keeps a loop stack satisfies it by construction; the file readers (repro
+// and trace) derive entry_iter from their events and reject a file whose
+// events contradict one another.  Recorded accesses rely on it: a slot keeps
+// only its own innermost iteration and recovers ancestor ones from the
+// forest (sig/slots.hpp, core/detector.hpp).
 
 #include <cstdint>
 

@@ -31,7 +31,8 @@ class NestStamper {
   void push(std::uint32_t loop) {
     const std::uint32_t parent =
         stack_.empty() ? NestForest::kRoot : stack_.back().node;
-    stack_.push_back({nest_forest().enter(parent, loop), 0});
+    const std::uint32_t entry_iter = stack_.empty() ? 0 : stack_.back().iter;
+    stack_.push_back({nest_forest().enter(parent, loop, entry_iter), 0});
   }
   void iter() {
     if (!stack_.empty()) ++stack_.back().iter;

@@ -14,7 +14,9 @@ namespace {
 // the file embeds a nest node table (file-local ids, parents before
 // children) and the reader re-interns it.  v01 files predate the context
 // model: their fixed-size records embed ids from a dead forest, so they are
-// rejected rather than silently misattributed.
+// rejected rather than silently misattributed.  The table does not record
+// entry iterations: the reader derives them from the events (NestTableLoader)
+// and rejects a file whose events contradict one another.
 constexpr char kMagic[8] = {'D', 'E', 'P', 'T', 'R', 'C', '0', '2'};
 
 /// One serialized nest node: file-local parent id + static loop id.  The
@@ -93,13 +95,12 @@ bool read_trace(Trace& out, const std::string& path) {
   remaining -= node_count * sizeof(WireNestNode);
   if (!is) return false;
 
-  // Re-intern the table.  File-local ids are positional (index + 1) and
-  // parents must precede children, i.e. parent < own id.
-  NestForest& forest = nest_forest();
-  std::vector<std::uint32_t> id_map(node_count + 1, NestForest::kRoot);
+  // File-local ids are positional (index + 1) and parents must precede
+  // children, i.e. parent < own id.
+  NestTableLoader table;
   for (std::uint64_t i = 0; i < node_count; ++i) {
     if (nodes[i].parent > i) return false;  // forward/self reference
-    id_map[i + 1] = forest.enter(id_map[nodes[i].parent], nodes[i].loop);
+    table.declare(nodes[i].parent, nodes[i].loop);
   }
 
   std::uint64_t count = 0;
@@ -112,10 +113,13 @@ bool read_trace(Trace& out, const std::string& path) {
   is.read(reinterpret_cast<char*>(t.events.data()),
           static_cast<std::streamsize>(count * sizeof(AccessEvent)));
   if (!is) return false;
-  for (AccessEvent& ev : t.events) {
+  for (const AccessEvent& ev : t.events) {
     if (ev.ctx > node_count) return false;  // dangling context reference
-    ev.ctx = id_map[ev.ctx];
+    if (!table.observe(ev.ctx, ev.iters)) return false;  // contradiction
   }
+  // Re-intern only a fully validated table, with the derived entry_iters.
+  const std::vector<std::uint32_t> id_map = table.intern();
+  for (AccessEvent& ev : t.events) ev.ctx = id_map[ev.ctx];
   out = std::move(t);
   return true;
 }

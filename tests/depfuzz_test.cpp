@@ -20,6 +20,7 @@
 #include "trace/generators.hpp"
 #include "trace/nest.hpp"
 #include "trace/trace.hpp"
+#include "trace/trace_io.hpp"
 
 namespace depprof {
 namespace {
@@ -75,7 +76,7 @@ TEST(ExactOracle, FreeRestartsLifetime) {
 }
 
 TEST(ExactOracle, LoopCarriedDistance) {
-  const std::uint32_t entry = nest_forest().enter(NestForest::kRoot, 9);
+  const std::uint32_t entry = nest_forest().enter(NestForest::kRoot, 9, 0);
   Trace t;
   for (std::uint32_t i = 0; i < 4; ++i) {
     AccessEvent w = make_ev(AccessKind::kWrite, 0x200, 21);
@@ -107,9 +108,9 @@ TEST(ExactOracle, NestedCommonLoopAttribution) {
   // gap of the shared outer loop: the dependence is carried by the *outer*
   // loop (level 1), and the inner loop never shows up as carrier.
   NestForest& forest = nest_forest();
-  const std::uint32_t outer = forest.enter(NestForest::kRoot, 5);
-  const std::uint32_t in1 = forest.enter(outer, 6);
-  const std::uint32_t in2 = forest.enter(outer, 6);
+  const std::uint32_t outer = forest.enter(NestForest::kRoot, 5, 0);
+  const std::uint32_t in1 = forest.enter(outer, 6, 0);
+  const std::uint32_t in2 = forest.enter(outer, 6, 2);
   Trace t;
   AccessEvent w = make_ev(AccessKind::kWrite, 0x300, 31);
   w.ctx = in1;
@@ -236,6 +237,65 @@ TEST(Harness, ExactCasesHoldAcrossBackends) {
     const CaseOutcome outcome = run_case(t, cfg);
     EXPECT_TRUE(outcome.ok) << storage_kind_name(storage) << "\n"
                             << outcome.detail;
+  }
+}
+
+/// Depth-2 nest whose inner loop is re-entered once per outer iteration:
+/// inner entry i starts at outer iteration i (entry_iter = i, or 0 when
+/// `force_zero_entry_iter`).  The inner body writes a[j]; the outer body
+/// then reads a[0].  Every dependence resolves to the outer loop through a
+/// source recorded in an inner entry, so its distance needs the source's
+/// outer iteration, which slots recover from the forest's entry_iter.
+Trace reentered_inner_trace(bool force_zero_entry_iter) {
+  NestForest& forest = nest_forest();
+  const std::uint32_t outer = forest.enter(NestForest::kRoot, 70, 0);
+  Trace t;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    const std::uint32_t inner =
+        forest.enter(outer, 71, force_zero_entry_iter ? 0 : i);
+    for (std::uint32_t j = 0; j < 3; ++j) {
+      AccessEvent w = make_ev(AccessKind::kWrite, 0x500 + 8 * j, 41);
+      w.ctx = inner;
+      w.iters[0] = i;
+      w.iters[1] = j;
+      t.events.push_back(w);
+    }
+    AccessEvent r = make_ev(AccessKind::kRead, 0x500, 42);
+    r.ctx = outer;
+    r.iters[0] = i;
+    t.events.push_back(r);
+  }
+  return t;
+}
+
+TEST(Harness, EntryIterationCarriesAncestorLevelAcrossBackends) {
+  Trace t = reentered_inner_trace(false);
+  // The same trace through the trace-file reader, which has to derive the
+  // entry iterations from the events.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "depprof_entry_iter.trc")
+          .string();
+  ASSERT_TRUE(write_trace(t, path));
+  Trace from_file;
+  ASSERT_TRUE(read_trace(from_file, path));
+  std::filesystem::remove(path);
+  const Trace zeroed = reentered_inner_trace(true);
+  for (const StorageKind storage :
+       {StorageKind::kPerfect, StorageKind::kShadow, StorageKind::kHashTable,
+        StorageKind::kPacked, StorageKind::kSignature}) {
+    ProfilerConfig cfg;
+    cfg.storage = storage;
+    cfg.workers = 2;
+    cfg.chunk_size = 4;
+    for (const Trace* trace : {&t, &from_file}) {
+      const CaseOutcome outcome = run_case(*trace, cfg);
+      EXPECT_TRUE(outcome.ok) << storage_kind_name(storage) << "\n"
+                              << outcome.detail;
+    }
+    // Forcing entry_iter to 0 breaks the window invariant: the oracle still
+    // reads the true outer iteration from the source event, the profilers
+    // read 0 from the forest, and the outer-level distances disagree.
+    EXPECT_FALSE(run_case(zeroed, cfg).ok) << storage_kind_name(storage);
   }
 }
 
@@ -391,8 +451,8 @@ TEST(Shrinker, FlattensNestWhenFailureSurvivesIt) {
   // innermost iteration moves to slot 0), so the shrinker must hand back a
   // depth-1 repro.
   NestForest& forest = nest_forest();
-  const std::uint32_t outer = forest.enter(NestForest::kRoot, 80);
-  const std::uint32_t inner = forest.enter(outer, 81);
+  const std::uint32_t outer = forest.enter(NestForest::kRoot, 80, 0);
+  const std::uint32_t inner = forest.enter(outer, 81, 2);
   Trace t;
   AccessEvent w = make_ev(AccessKind::kWrite, 0xbeef0, 91);
   w.ctx = inner;
@@ -434,9 +494,9 @@ TEST(Shrinker, KeepsNestWhenFlatteningLosesTheFailure) {
   // the *outer* loop of a two-deep nest.  Flattening drops the outer level,
   // so the rung's candidate no longer fails and the nest must be kept.
   NestForest& forest = nest_forest();
-  const std::uint32_t outer = forest.enter(NestForest::kRoot, 85);
-  const std::uint32_t in1 = forest.enter(outer, 86);
-  const std::uint32_t in2 = forest.enter(outer, 86);
+  const std::uint32_t outer = forest.enter(NestForest::kRoot, 85, 0);
+  const std::uint32_t in1 = forest.enter(outer, 86, 0);
+  const std::uint32_t in2 = forest.enter(outer, 86, 1);
   Trace t;
   AccessEvent w = make_ev(AccessKind::kWrite, 0xfeed0, 95);
   w.ctx = in1;
@@ -532,7 +592,7 @@ ReproCase sample_repro() {
   r.cfg.sampling_skip = 3;
   AccessEvent ev = make_ev(AccessKind::kWrite, 0xabc0, 41, 2, 1, 99);
   ev.flags = kInLockRegion;
-  ev.ctx = nest_forest().enter(NestForest::kRoot, 5);
+  ev.ctx = nest_forest().enter(NestForest::kRoot, 5, 0);
   ev.iters[0] = 7;
   r.trace.events.push_back(ev);
   r.trace.events.push_back(make_ev(AccessKind::kFree, 0xabc0, 0, 0, 1, 100));
@@ -632,6 +692,49 @@ TEST(Corpus, V3RejectsMalformedNests) {
                            "nest id=1 parent=0 loop=50\n",
                            &error));
   EXPECT_NE(error.find("v3"), std::string::npos);
+}
+
+TEST(Corpus, RejectsContradictoryAncestorIterations) {
+  // Nest directives do not record entry iterations; the first event under
+  // entry 2 fixes its outer iteration at 3, so an event of the same entry
+  // claiming outer iteration 5 cannot come from one loop stack.
+  ReproCase out;
+  std::string error;
+  EXPECT_FALSE(parse_repro(out,
+                           "depfuzz-repro v3\n"
+                           "config storage=perfect dedup=0 pack=0\n"
+                           "nest id=1 parent=0 loop=50\n"
+                           "nest id=2 parent=1 loop=60\n"
+                           "ev W addr=0x100 loc=11 ctx=2 iters=3,4,0,0,0,0,0\n"
+                           "ev R addr=0x100 loc=12 ctx=2 iters=5,4,0,0,0,0,0\n",
+                           &error));
+  EXPECT_NE(error.find("line 6"), std::string::npos) << error;
+  // The same contradiction reached through a descendant entry.
+  EXPECT_FALSE(parse_repro(out,
+                           "depfuzz-repro v3\n"
+                           "config storage=perfect dedup=0 pack=0\n"
+                           "nest id=1 parent=0 loop=50\n"
+                           "nest id=2 parent=1 loop=60\n"
+                           "nest id=3 parent=2 loop=70\n"
+                           "ev W addr=0x100 loc=11 ctx=2 iters=3,4,0,0,0,0,0\n"
+                           "ev R addr=0x100 loc=12 ctx=3 iters=1,4,2,0,0,0,0\n",
+                           &error));
+  EXPECT_NE(error.find("line 7"), std::string::npos) << error;
+  // Consistent ancestors parse, and the derived entry iterations land in
+  // the forest.
+  ASSERT_TRUE(parse_repro(out,
+                          "depfuzz-repro v3\n"
+                          "config storage=perfect dedup=0 pack=0\n"
+                          "nest id=1 parent=0 loop=50\n"
+                          "nest id=2 parent=1 loop=60\n"
+                          "nest id=3 parent=2 loop=70\n"
+                          "ev W addr=0x100 loc=11 ctx=2 iters=3,4,0,0,0,0,0\n"
+                          "ev R addr=0x100 loc=12 ctx=3 iters=3,4,2,0,0,0,0\n",
+                          &error))
+      << error;
+  const NestForest& forest = nest_forest();
+  EXPECT_EQ(forest.entry_iter(out.trace.events[1].ctx), 4u);
+  EXPECT_EQ(forest.entry_iter(out.trace.events[0].ctx), 3u);
 }
 
 TEST(Corpus, LegacyLoopsTriplesReinternAsNestChains) {

@@ -161,7 +161,7 @@ AccessEvent with_nest(AccessEvent e, std::uint32_t ctx,
 }
 
 TEST(Detector, SameIterationIsNotCarried) {
-  const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1);
+  const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1, 0);
   auto det = make_perfect();
   DepMap deps;
   det.process(with_nest(wr(100, 10), ctx, {5}), deps);
@@ -175,7 +175,7 @@ TEST(Detector, SameIterationIsNotCarried) {
 }
 
 TEST(Detector, DifferentIterationIsCarried) {
-  const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1);
+  const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1, 0);
   auto det = make_perfect();
   DepMap deps;
   det.process(with_nest(wr(100, 10), ctx, {5}), deps);
@@ -192,8 +192,8 @@ TEST(Detector, DifferentEntryOfSameLoopIsNotCarriedByIt) {
   // A loop re-entered from an outer context: same static loop id, same
   // iteration index, different dynamic entries — not carried by that loop.
   NestForest& f = nest_forest();
-  const std::uint32_t e1 = f.enter(NestForest::kRoot, 1);
-  const std::uint32_t e2 = f.enter(NestForest::kRoot, 1);
+  const std::uint32_t e1 = f.enter(NestForest::kRoot, 1, 0);
+  const std::uint32_t e2 = f.enter(NestForest::kRoot, 1, 0);
   auto det = make_perfect();
   DepMap deps;
   det.process(with_nest(wr(100, 10), e1, {5}), deps);
@@ -210,9 +210,9 @@ TEST(Detector, OuterLoopCarriedThroughParentLevel) {
   // carried by the outer loop (the innermost *common* entry), not the
   // inner one.
   NestForest& f = nest_forest();
-  const std::uint32_t outer = f.enter(NestForest::kRoot, 1);
-  const std::uint32_t in1 = f.enter(outer, 2);
-  const std::uint32_t in2 = f.enter(outer, 2);
+  const std::uint32_t outer = f.enter(NestForest::kRoot, 1, 0);
+  const std::uint32_t in1 = f.enter(outer, 2, 0);
+  const std::uint32_t in2 = f.enter(outer, 2, 1);
   auto det = make_perfect();
   DepMap deps;
   det.process(with_nest(wr(100, 10), in1, {0, 3}), deps);
@@ -229,11 +229,11 @@ TEST(Detector, GrandparentLoopCarriedThroughThirdLevel) {
   // The h264dec pattern: frames > slices > macroblocks; the reference-frame
   // dependence is carried by the grandparent (frame) loop.
   NestForest& f = nest_forest();
-  const std::uint32_t frames = f.enter(NestForest::kRoot, 1);
-  const std::uint32_t s1 = f.enter(frames, 2);
-  const std::uint32_t s2 = f.enter(frames, 2);
-  const std::uint32_t m1 = f.enter(s1, 3);
-  const std::uint32_t m2 = f.enter(s2, 3);
+  const std::uint32_t frames = f.enter(NestForest::kRoot, 1, 0);
+  const std::uint32_t s1 = f.enter(frames, 2, 0);
+  const std::uint32_t s2 = f.enter(frames, 2, 1);
+  const std::uint32_t m1 = f.enter(s1, 3, 1);
+  const std::uint32_t m2 = f.enter(s2, 3, 1);
   auto det = make_perfect();
   DepMap deps;
   det.process(with_nest(wr(100, 10), m1, {0, 1, 2}), deps);
@@ -249,8 +249,8 @@ TEST(Detector, InnermostCommonLoopWins) {
   // Both endpoints share the whole nest; the inner iteration differs — the
   // dependence is attributed to the innermost common loop (level 2).
   NestForest& f = nest_forest();
-  const std::uint32_t outer = f.enter(NestForest::kRoot, 1);
-  const std::uint32_t inner = f.enter(outer, 2);
+  const std::uint32_t outer = f.enter(NestForest::kRoot, 1, 0);
+  const std::uint32_t inner = f.enter(outer, 2, 0);
   auto det = make_perfect();
   DepMap deps;
   det.process(with_nest(wr(100, 10), inner, {0, 3}), deps);
@@ -265,7 +265,7 @@ TEST(Detector, InnermostCommonLoopWins) {
 TEST(Detector, CarriedDistanceBucketed) {
   // Reads of a[i-4]: every carried instance has iteration distance 4,
   // which lands in the >= 2 bucket.
-  const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1);
+  const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1, 0);
   auto det = make_perfect();
   DepMap deps;
   for (std::uint32_t i = 0; i < 16; ++i) {
@@ -282,7 +282,7 @@ TEST(Detector, CarriedDistanceBucketed) {
 }
 
 TEST(Detector, DistanceBucketsAccumulate) {
-  const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1);
+  const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1, 0);
   auto det = make_perfect();
   DepMap deps;
   det.process(with_nest(wr(100, 10), ctx, {0}), deps);
@@ -302,7 +302,7 @@ TEST(Detector, DeepNestBeyondWindowIsConservativelyCarried) {
   // being guessed independent.
   NestForest& f = nest_forest();
   std::uint32_t ctx = NestForest::kRoot;
-  for (std::uint32_t d = 1; d <= kNestIters + 2; ++d) ctx = f.enter(ctx, d);
+  for (std::uint32_t d = 1; d <= kNestIters + 2; ++d) ctx = f.enter(ctx, d, 1);
   auto det = make_perfect();
   DepMap deps;
   det.process(with_nest(wr(100, 10), ctx, {1, 1, 1, 1, 1, 1, 1}), deps);
@@ -342,7 +342,7 @@ TEST(Detector, CollidingAddressStillBuildsDepButNoCarriedFlag) {
   // Modulo collision: addr and addr + slots share a slot.  The dependence
   // record is built (approximate membership), but the loop-context compare
   // is gated off by the address tag, so no carried flag can be fabricated.
-  const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1);
+  const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1, 0);
   DetectorCore<Signature<SeqSlot>> det{
       Signature<SeqSlot>(128, SigHash::kModulo),
       Signature<SeqSlot>(128, SigHash::kModulo)};
@@ -356,7 +356,7 @@ TEST(Detector, CollidingAddressStillBuildsDepButNoCarriedFlag) {
 }
 
 TEST(Detector, SameAddressKeepsCarriedFlagUnderSignature) {
-  const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1);
+  const std::uint32_t ctx = nest_forest().enter(NestForest::kRoot, 1, 0);
   DetectorCore<Signature<SeqSlot>> det{Signature<SeqSlot>(128),
                                        Signature<SeqSlot>(128)};
   DepMap deps;

@@ -206,6 +206,49 @@ TEST(PipelineObs, MergeStagePopulatedByFinish) {
   }
 }
 
+// Every stage that saw work reports nonzero busy time: produce and route
+// are clocked per batch/sub-batch, detect and merge per chunk.  Covers the
+// plain and the run-length-encoded batch paths of both profilers.
+TEST(PipelineObs, EveryStageWithEventsReportsBusyTime) {
+  for (bool parallel : {false, true}) {
+    for (bool rle : {false, true}) {
+      ProfilerConfig cfg;
+      cfg.storage = StorageKind::kSignature;
+      cfg.slots = 1u << 14;
+      cfg.workers = parallel ? 2 : 0;
+      auto prof =
+          parallel ? make_parallel_profiler(cfg) : make_serial_profiler(cfg);
+      ASSERT_NE(prof, nullptr);
+
+      std::vector<AccessEvent> batch;
+      const std::vector<std::uint32_t> reps(512, 2);
+      for (std::uint64_t round = 0; round < 40; ++round) {
+        batch.clear();
+        for (std::uint64_t i = 0; i < reps.size(); ++i)
+          batch.push_back(access(0x4000 + ((round * 512 + i) % 4096) * 8,
+                                 i % 2 ? AccessKind::kRead : AccessKind::kWrite,
+                                 31 + static_cast<std::uint32_t>(i % 2)));
+        if (rle)
+          prof->on_batch_rle(batch.data(), reps.data(), batch.size());
+        else
+          prof->on_batch(batch.data(), batch.size());
+      }
+      prof->finish();
+
+      std::size_t with_events = 0;
+      for (const obs::StageSnapshot& st : prof->stats().stages.stages) {
+        if (st.events == 0) continue;
+        ++with_events;
+        EXPECT_GT(st.busy_ns, 0u)
+            << st.stage << (parallel ? " parallel" : " serial")
+            << (rle ? " rle" : "");
+      }
+      // produce + detect + merge, plus route on the pipeline.
+      EXPECT_GE(with_events, parallel ? 5u : 3u);
+    }
+  }
+}
+
 TEST(Report, RenderersCoverEveryStage) {
   obs::PipelineObs obs(2);
   obs.produce().add_events(12);

@@ -263,26 +263,26 @@ TEST(PackedShadowStore, MaxLocRoundTripsThroughPage) {
   SeqSlot s;
   s.loc = 0xFFFFFFFFu;
   s.ctx = 7;
-  s.iters[0] = 3;
+  s.iter = 3;
   store.insert(99, s);
   const SeqSlot* got = store.find(99);
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->loc, 0xFFFFFFFFu);
   EXPECT_EQ(got->ctx, 7u);
-  EXPECT_EQ(got->iters[0], 3u);
+  EXPECT_EQ(got->iter, 3u);
 }
 
 TEST(PackedShadowStore, OverwriteReplacesSnapshotWithoutLeakingTokens) {
   PackedSeq store;
   SeqSlot s = slot_at(10);
-  s.iters[0] = 1;
+  s.iter = 1;
   store.insert(42, s);
   s = slot_at(20);
-  s.iters[0] = 2;
+  s.iter = 2;
   store.insert(42, s);
   EXPECT_EQ(store.occupied(), 1u);
   EXPECT_EQ(store.find(42)->location().line(), 20u);
-  EXPECT_EQ(store.find(42)->iters[0], 2u);
+  EXPECT_EQ(store.find(42)->iter, 2u);
   // Only the live snapshot remains interned after the overwrite.
   EXPECT_EQ(store.interned_snapshots(), 1u);
 }
@@ -306,7 +306,7 @@ TEST(PackedShadowStore, TokenRecyclingBoundsTheInternTable) {
   PackedSeq store;
   for (std::uint32_t i = 0; i < 10000; ++i) {
     SeqSlot s = slot_at(5);
-    s.iters[0] = i;  // every insert carries a brand-new snapshot
+    s.iter = i;  // every insert carries a brand-new snapshot
     store.insert(7, s);
   }
   EXPECT_EQ(store.interned_snapshots(), 1u);
@@ -315,7 +315,7 @@ TEST(PackedShadowStore, TokenRecyclingBoundsTheInternTable) {
   PackedSeq churn;
   for (std::uint32_t i = 0; i < 10000; ++i) {
     SeqSlot s = slot_at(5);
-    s.iters[0] = i;
+    s.iter = i;
     churn.insert(7, s);
     churn.remove(7);
   }
@@ -331,7 +331,7 @@ TEST(PackedShadowStore, MtSidecarKeepsFlagBitsAndFullTimestamp) {
   MtSlot s;
   s.loc = 0xFFFFFFFFu;
   s.ctx = 3;
-  s.iters[0] = 9;
+  s.iter = 9;
   s.tid = 0xFFFFFFFFu;
   s.flags = 0xFFFFFFFFu;
   s.ts = ~std::uint64_t{0};
@@ -342,7 +342,7 @@ TEST(PackedShadowStore, MtSidecarKeepsFlagBitsAndFullTimestamp) {
   EXPECT_EQ(got->tid, 0xFFFFFFFFu);
   EXPECT_EQ(got->flags, 0xFFFFFFFFu);
   EXPECT_EQ(got->ts, ~std::uint64_t{0});
-  EXPECT_EQ(got->iters[0], 9u);
+  EXPECT_EQ(got->iter, 9u);
   // A sibling word on the same page stays independent.
   MtSlot other;
   other.loc = 1;

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 
@@ -180,9 +182,9 @@ TEST(TraceIo, NestContextsSurviveRoundTrip) {
   // nest *shape* (loop ids, depths, parent linkage, iteration windows) even
   // though the reader re-interns fresh forest ids.
   NestForest& forest = nest_forest();
-  const std::uint32_t outer = forest.enter(NestForest::kRoot, 40);
-  const std::uint32_t in1 = forest.enter(outer, 41);
-  const std::uint32_t in2 = forest.enter(outer, 41);  // sibling re-entry
+  const std::uint32_t outer = forest.enter(NestForest::kRoot, 40, 0);
+  const std::uint32_t in1 = forest.enter(outer, 41, 2);
+  const std::uint32_t in2 = forest.enter(outer, 41, 3);  // sibling re-entry
   Trace t;
   AccessEvent ev;
   ev.kind = AccessKind::kWrite;
@@ -299,6 +301,48 @@ TEST(TraceIo, RejectsMalformedNestTables) {
   std::remove(path.c_str());
 }
 
+TEST(TraceIo, DerivesEntryIterationsAndRejectsContradictions) {
+  // The nest table carries no entry iterations: the reader takes them from
+  // the events, and rejects events of one entry that disagree about it.
+  NestForest& forest = nest_forest();
+  const std::uint32_t outer = forest.enter(NestForest::kRoot, 44, 0);
+  const std::uint32_t inner = forest.enter(outer, 45, 6);
+  Trace t;
+  AccessEvent ev;
+  ev.ctx = inner;
+  ev.iters[0] = 6;
+  ev.iters[1] = 1;
+  t.events.push_back(ev);
+  const std::string path = "/tmp/depprof_entry_iter_trace_test.bin";
+  ASSERT_TRUE(write_trace(t, path));
+  Trace back;
+  ASSERT_TRUE(read_trace(back, path));
+  EXPECT_EQ(forest.entry_iter(back.events[0].ctx), 6u);
+  EXPECT_EQ(forest.entry_iter(forest.parent(back.events[0].ctx)), 0u);
+
+  ev.iters[0] = 7;  // same inner entry, different outer iteration
+  t.events.push_back(ev);
+  ASSERT_TRUE(write_trace(t, path));
+  EXPECT_FALSE(read_trace(back, path));
+  std::remove(path.c_str());
+}
+
+TEST(NestForest, ThrowsInsteadOfWrappingIdsToRoot) {
+  // A forest one id short of the 32-bit limit: the last id is handed out,
+  // the next enter() throws, and nothing wraps onto the root.
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  NestForest forest(NestForest::StartAt{kMax - 1});
+  const std::uint32_t last = forest.enter(NestForest::kRoot, 7, 0);
+  EXPECT_EQ(last, kMax - 1);
+  EXPECT_EQ(forest.size(), kMax);
+  EXPECT_THROW(forest.enter(last, 8, 3), std::length_error);
+  EXPECT_EQ(forest.size(), kMax);
+  EXPECT_EQ(forest.depth(NestForest::kRoot), 0u);
+  EXPECT_EQ(forest.loop(NestForest::kRoot), 0u);
+  EXPECT_EQ(forest.loop(last), 7u);
+  EXPECT_EQ(forest.depth(last), 1u);
+}
+
 TEST(TraceIo, RejectsMissingAndMalformedFiles) {
   Trace out;
   EXPECT_FALSE(read_trace(out, "/tmp/depprof_does_not_exist.bin"));
@@ -351,7 +395,7 @@ TEST_F(WireCodecTest, FirstRecordAlwaysEscapes) {
 TEST_F(WireCodecTest, IterAdvancePacksSameContext) {
   NestForest& forest = nest_forest();
   AccessEvent ev;
-  ev.ctx = forest.enter(NestForest::kRoot, 30);
+  ev.ctx = forest.enter(NestForest::kRoot, 30, 0);
   round_trip(ev);  // base
   ev.iters[0] += 1;
   EXPECT_TRUE(round_trip(ev));  // op0: iters[0] += 1
@@ -363,8 +407,8 @@ TEST_F(WireCodecTest, IterAdvancePacksSameContext) {
 
 TEST_F(WireCodecTest, PushPopAndSiblingReentryPack) {
   NestForest& forest = nest_forest();
-  const std::uint32_t outer = forest.enter(NestForest::kRoot, 50);
-  const std::uint32_t inner = forest.enter(outer, 51);
+  const std::uint32_t outer = forest.enter(NestForest::kRoot, 50, 0);
+  const std::uint32_t inner = forest.enter(outer, 51, 3);
   AccessEvent ev;
   ev.ctx = outer;
   ev.iters[0] = 3;
@@ -377,7 +421,7 @@ TEST_F(WireCodecTest, PushPopAndSiblingReentryPack) {
   ev.iters[1] = 0;
   EXPECT_TRUE(round_trip(ev));
   // op3 sibling re-entry: fresh inner entry, enclosing iter advances.
-  ev.ctx = forest.enter(outer, 51);
+  ev.ctx = forest.enter(outer, 51, 4);
   ev.iters[0] = 4;
   EXPECT_TRUE(round_trip(ev));
 }
@@ -387,8 +431,8 @@ TEST_F(WireCodecTest, PopWithStaleDeepSlotsEscapes) {
   // predicted by op2 (which zeroes them) and must escape — the codec never
   // emits a step whose replay diverges from the real event.
   NestForest& forest = nest_forest();
-  const std::uint32_t outer = forest.enter(NestForest::kRoot, 60);
-  const std::uint32_t inner = forest.enter(outer, 61);
+  const std::uint32_t outer = forest.enter(NestForest::kRoot, 60, 0);
+  const std::uint32_t inner = forest.enter(outer, 61, 0);
   AccessEvent ev;
   ev.ctx = inner;
   ev.iters[1] = 4;
