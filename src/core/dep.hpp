@@ -50,7 +50,7 @@ enum DepFlags : std::uint8_t {
   /// regions (Sec. V-B): the pair was mutually excluded by the target's own
   /// synchronization, so it is never a race candidate.  Map-side only —
   /// derived by the detector from the two events' in-lock-region bits, never
-  /// present on AccessEvent::flags or the wire format.
+  /// present on AccessEvent::flags.
   kLockProtected = 1u << 4,
 };
 

@@ -172,7 +172,9 @@ class DetectorCore {
   DetectorCore(Store sig_read, Store sig_write)
       : sig_read_(std::move(sig_read)), sig_write_(std::move(sig_write)) {}
 
-  /// Processes one access in program order (Algorithm 1).
+  /// Processes one access in program order (Algorithm 1).  The profilers
+  /// run process_batch(); this is the per-event reference the equivalence
+  /// tests and benches compare it against.
   void process(const AccessEvent& ev, DepMap& deps) {
     process_one(ev, [&](const DepKey& k, std::uint8_t flags,
                         const DepAttribution& at) { deps.add(k, flags, at); });
@@ -188,7 +190,7 @@ class DetectorCore {
   ///
   ///  - the read/write store slots of the event kPrefetchDistance ahead are
   ///    software-prefetched (write intent) before each compare/update,
-  ///    overlapping the slot misses of the per-event kernel;
+  ///    overlapping the slot misses process() would take one by one;
   ///  - dependence records — which repeat the same few (sink, source, var)
   ///    keys throughout a batch — are aggregated in a small stack table and
   ///    folded into the map once per distinct key (DepMap::fold) instead of
@@ -248,7 +250,7 @@ class DetectorCore {
   /// Algorithm 1 for one access.  Every dependence record (including INIT)
   /// goes through `sink(key, flags, attribution)` instead of touching the
   /// map directly, so the batch kernel can aggregate records per batch while
-  /// the per-event kernel adds them straight to the map.
+  /// process() — the per-event reference — adds them straight to the map.
   template <typename Sink>
   void process_one(const AccessEvent& ev, Sink&& sink) {
     if (ev.is_burst_mark()) {

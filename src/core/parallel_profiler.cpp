@@ -139,8 +139,7 @@ class ParallelProfiler final : public IProfiler {
     detectors_.reserve(w);
     for (unsigned i = 0; i < w; ++i) {
       detectors_.push_back(std::make_unique<DetectStage<Store>>(
-          std::move(read_sigs[i]), std::move(write_sigs[i]), obs_.detect(i),
-          cfg_.batched_detect));
+          std::move(read_sigs[i]), std::move(write_sigs[i]), obs_.detect(i)));
       queues_.push_back(make_queue<Chunk*>(qk, cfg_.queue_capacity));
     }
     for (std::uint32_t i = 0; i < kMailboxCount; ++i)
@@ -275,8 +274,8 @@ class ParallelProfiler final : public IProfiler {
   /// the whole sub-batch once (route_batch hoists the override-table and
   /// hash-kind branches), then counting-sort the events into contiguous
   /// per-worker runs appended chunk-wise.  `reps` (nullable) carries the
-  /// front-end RLE run lengths: a run is routed and staged once — packed
-  /// with its rep count, or expanded at staging when packing is off.
+  /// front-end RLE run lengths: a run is routed once and expanded into raw
+  /// events as it is staged.
   /// Batches containing lock-region accesses or burst markers stage event
   /// by event instead: lock-region accesses must push the moment they are
   /// staged so access + push stay atomic (Fig. 4), and markers are
@@ -321,11 +320,8 @@ class ParallelProfiler final : public IProfiler {
     };
     const unsigned W = obs_.workers();
     if (lock_region || has_marker || W > kMaxScatterWorkers) {
-      // Per-event fallback.  With packing on, staging must stay packed: a
-      // worker's pending chunk may already hold wire records, and a raw
-      // append would corrupt it.
+      // Per-event fallback.
       for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t rep = reps != nullptr ? reps[i] : 1;
         if (unit[i].is_burst_mark()) {
           // A sampling gap cuts the WHOLE stream, so the marker is
           // broadcast: every worker's signatures hold addresses whose
@@ -336,34 +332,22 @@ class ParallelProfiler final : public IProfiler {
           // bursts counter is fed by on_sampling_stats, not here: the gate
           // lives in the runtime, and counting markers again would double
           // the stat on live runs.)
-          for (unsigned w = 0; w < W; ++w) {
-            if (cfg_.pack) {
-              const std::uint32_t one = 1;
-              prod.add_run_packed(w, &unit[i], &one, 1, chunk_fill_,
-                                  obs_.produce(), push);
-            } else if (Chunk* ready = prod.add(w, unit[i], chunk_fill_)) {
+          for (unsigned w = 0; w < W; ++w)
+            if (Chunk* ready = prod.add(w, unit[i], chunk_fill_))
               push(ready, w);
-            }
-          }
           continue;
         }
         const unsigned w = dest[i];
-        if (cfg_.pack) {
-          prod.add_run_packed(w, &unit[i], &rep, 1, chunk_fill_,
-                              obs_.produce(), push);
-          // Lock-region accesses must be pushed the moment they are staged
-          // (Fig. 4), even from a part-full chunk.
-          if ((unit[i].flags & kInLockRegion) != 0)
-            if (Chunk* ready = prod.take(w)) push(ready, w);
-        } else {
-          // Runs expanded — lock-region events are never deduped, so reps
-          // beyond 1 only reach here via trace replay.
-          for (std::uint32_t r = 0; r < rep; ++r) {
-            Chunk* ready = prod.add(w, unit[i], chunk_fill_);
-            if (ready == nullptr && (unit[i].flags & kInLockRegion) != 0)
-              ready = prod.take(w);
-            if (ready != nullptr) push(ready, w);
-          }
+        // Runs expanded — lock-region events are never deduped, so reps
+        // beyond 1 only reach here via trace replay.  Lock-region accesses
+        // must be pushed the moment they are staged (Fig. 4), even from a
+        // part-full chunk.
+        const std::uint32_t rep = reps != nullptr ? reps[i] : 1;
+        for (std::uint32_t r = 0; r < rep; ++r) {
+          Chunk* ready = prod.add(w, unit[i], chunk_fill_);
+          if (ready == nullptr && (unit[i].flags & kInLockRegion) != 0)
+            ready = prod.take(w);
+          if (ready != nullptr) push(ready, w);
         }
       }
     } else {
@@ -385,20 +369,14 @@ class ParallelProfiler final : public IProfiler {
       for (std::size_t i = 0; i < n; ++i) {
         const std::uint32_t slot = offset[dest[i]]++;
         run[slot] = unit[i];
-        run_reps[slot] = reps != nullptr ? reps[i] : 1;
+        if (reps != nullptr) run_reps[slot] = reps[i];
       }
       for (unsigned w = 0; w < W; ++w) {
         if (start[w] == offset[w]) continue;
         const std::size_t len = offset[w] - start[w];
-        if (cfg_.pack)
-          prod.add_run_packed(w, run.data() + start[w],
-                              run_reps.data() + start[w], len, chunk_fill_,
-                              obs_.produce(), push);
-        else if (reps != nullptr)
-          prod.add_run_rle(w, run.data() + start[w],
-                           run_reps.data() + start[w], len, chunk_fill_, push);
-        else
-          prod.add_run(w, run.data() + start[w], len, chunk_fill_, push);
+        prod.add_run_rle(w, run.data() + start[w],
+                         reps != nullptr ? run_reps.data() + start[w] : nullptr,
+                         len, chunk_fill_, push);
       }
     }
     const std::uint64_t t3 = WallTimer::now();
@@ -489,12 +467,16 @@ class ParallelProfiler final : public IProfiler {
   std::uint64_t rebalance(std::uint64_t chunks_produced) {
     std::uint64_t blocked = 0;
     for (const Migration& m : router_.evaluate(chunks_produced)) {
-      // Flush staged accesses of the old owner so they arrive before the
-      // handoff chunk; FIFO order makes the migration sound (see
-      // chunk.hpp).  Only reachable with sequential targets, whose single
-      // producing thread is the caller.
+      // Flush staged accesses of both owners so they arrive before the
+      // handoff chunks; FIFO order makes the migration sound (see
+      // chunk.hpp).  The new owner's side matters for burst markers: one
+      // broadcast before the migration but still staged there would reach
+      // it after the ADOPT and clear the adopted post-gap state.  Only
+      // reachable with sequential targets, whose single producing thread is
+      // the caller.
       ProduceStage& prod = producer_for_caller();
       if (Chunk* c = prod.take(m.from)) blocked += push_chunk(c, m.from);
+      if (Chunk* c = prod.take(m.to)) blocked += push_chunk(c, m.to);
       blocked += hand_off(m);
     }
     return blocked;
@@ -564,10 +546,7 @@ class ParallelProfiler final : public IProfiler {
                     "queue.pop");
       switch (c->kind) {
         case Chunk::Kind::kData:
-          if (c->packed)
-            process_packed(me, *c);
-          else
-            me.process(c->events.data(), c->count);
+          me.process(c->events.data(), c->count);
           pool_.release(c);
           break;
         case Chunk::Kind::kStop:
@@ -623,35 +602,6 @@ class ParallelProfiler final : public IProfiler {
         }
       }
     }
-  }
-
-  /// Decodes a packed chunk back into raw AccessEvents (expanding RLE runs)
-  /// and feeds the detect kernel in slab-sized sub-batches.  The wire format
-  /// never reaches DetectorCore — Algorithm 1 consumes the same 64-byte
-  /// events it always did.
-  static void process_packed(DetectStage<Store>& me, const Chunk& c) {
-    constexpr std::size_t kSlab = 512;
-    std::array<AccessEvent, kSlab> slab;
-    std::size_t fill = 0;
-    WireDecoder dec;
-    dec.reset();
-    const unsigned char* src = c.payload_bytes();
-    for (std::uint32_t r = 0; r < c.records; ++r) {
-      AccessEvent ev;
-      std::uint32_t rep = 0;
-      src += dec.decode(src, ev, rep);
-      while (rep > 0) {
-        const std::size_t n = std::min<std::size_t>(rep, kSlab - fill);
-        std::fill_n(slab.data() + fill, n, ev);
-        fill += n;
-        rep -= static_cast<std::uint32_t>(n);
-        if (fill == kSlab) {
-          me.process(slab.data(), fill);
-          fill = 0;
-        }
-      }
-    }
-    if (fill > 0) me.process(slab.data(), fill);
   }
 
   void join_workers() {

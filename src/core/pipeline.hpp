@@ -25,7 +25,6 @@
 #include "core/chunk.hpp"
 #include "core/detector.hpp"
 #include "core/profiler.hpp"
-#include "core/wire.hpp"
 #include "obs/stage_stats.hpp"
 #include "sig/access_store.hpp"
 
@@ -37,7 +36,7 @@ namespace depprof {
 class ProduceStage {
  public:
   ProduceStage(std::size_t workers, ChunkPool& pool)
-      : pending_(workers, nullptr), encoders_(workers), pool_(&pool) {}
+      : pending_(workers, nullptr), pool_(&pool) {}
 
   /// Appends `ev` to the pending chunk for worker `w`; returns the chunk
   /// once it reaches `fill` events and must be handed on, else nullptr.
@@ -72,9 +71,11 @@ class ProduceStage {
     }
   }
 
-  /// Raw-mode staging of RLE records: expands each run back into identical
-  /// raw events as it is copied (dedup on, pack off — the queue savings of
-  /// dedup need the packed encoding; this path only keeps the semantics).
+  /// Stages RLE records (`reps[i]` instances of `events[i]`; reps ==
+  /// nullptr means all 1), expanding each run back into identical raw
+  /// events as it is copied: chunks carry only raw events, so front-end
+  /// dedup saves the instrumentation, route and scatter work per instance,
+  /// not queue bytes.
   template <typename Push>
   void add_run_rle(unsigned w, const AccessEvent* events,
                    const std::uint32_t* reps, std::size_t n, std::size_t fill,
@@ -102,54 +103,6 @@ class ProduceStage {
     }
   }
 
-  /// Packed-mode twin of add_run: stages a run of RLE records (`reps[i]`
-  /// instances of `events[i]`; reps == nullptr means all 1) as delta-packed
-  /// wire records (core/wire.hpp).  A chunk is closed when the next record
-  /// might not fit its byte budget — `fill` keeps its raw-equivalent
-  /// meaning, so a packed chunk carries the same queue-byte footprint as a
-  /// raw chunk of `fill` events while holding ~4x the accesses.  Escape
-  /// records are counted into `stats` (pack_escapes).
-  template <typename Push>
-  void add_run_packed(unsigned w, const AccessEvent* events,
-                      const std::uint32_t* reps, std::size_t n,
-                      std::size_t fill, obs::StageStats& stats, Push&& push) {
-    sched::point("produce.stage");
-    Chunk*& pending = pending_[w];
-    WireEncoder& enc = encoders_[w];
-    const std::size_t budget =
-        std::min(fill * sizeof(AccessEvent), Chunk::kPayloadBytes);
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint32_t rep = reps != nullptr ? reps[i] : 1;
-      while (rep > 0) {
-        const std::uint32_t r = std::min(rep, kMaxWireRep);
-        if (pending == nullptr) {
-          pending = pool_->acquire();
-          pending->packed = true;
-          enc.reset();
-        }
-        // Close on the conservative worst case (escape record) so a record
-        // never straddles chunks; always admit at least one record so tiny
-        // fills (chunk_size == 1) still make progress.
-        if (pending->records > 0 &&
-            pending->bytes + kMaxWireRecordBytes > budget) {
-          Chunk* full = pending;
-          pending = nullptr;
-          push(full, w);
-          continue;
-        }
-        bool escaped = false;
-        const std::size_t wrote =
-            enc.encode(events[i], r, pending->payload_bytes() + pending->bytes,
-                       escaped);
-        pending->bytes += static_cast<std::uint32_t>(wrote);
-        pending->records += 1;
-        pending->count += r;
-        if (escaped) stats.add_pack_escapes(1);
-        rep -= r;
-      }
-    }
-  }
-
   /// Removes and returns the non-empty pending chunk for worker `w`
   /// (nullptr when nothing is staged) — lock-region and finish() flushes.
   Chunk* take(unsigned w) {
@@ -163,7 +116,6 @@ class ProduceStage {
 
  private:
   std::vector<Chunk*> pending_;
-  std::vector<WireEncoder> encoders_;
   ChunkPool* pool_;
 };
 
@@ -526,15 +478,13 @@ class RouteStage {
 
 /// Detect stage: one Algorithm 1 instance (DetectorCore) plus the
 /// worker-local dependence map.  Each call is one chunk/batch of owned
-/// accesses in program order; the tight loop is fully monomorphized.
+/// accesses in program order, run through the batched prefetching kernel
+/// (DetectorCore::process_batch); the tight loop is fully monomorphized.
 template <AccessStore Store>
 class DetectStage {
  public:
-  DetectStage(Store sig_read, Store sig_write, obs::StageStats& stats,
-              bool batched = true)
-      : core_(std::move(sig_read), std::move(sig_write)),
-        stats_(&stats),
-        batched_(batched) {}
+  DetectStage(Store sig_read, Store sig_write, obs::StageStats& stats)
+      : core_(std::move(sig_read), std::move(sig_write)), stats_(&stats) {}
 
   void process(const AccessEvent* events, std::size_t count) {
     // Both clock domains (see obs/stage_stats.hpp): wall busy_ns pairs with
@@ -542,12 +492,8 @@ class DetectStage {
     // excludes preemption and feeds the simulated parallel time.
     const std::uint64_t w0 = WallTimer::now();
     const std::uint64_t c0 = ThreadCpuTimer::now();
-    if (batched_) {
-      stats_->add_prefetches(core_.process_batch(events, count, deps_));
-      stats_->add_kernel_batches(1);
-    } else {
-      for (std::size_t i = 0; i < count; ++i) core_.process(events[i], deps_);
-    }
+    stats_->add_prefetches(core_.process_batch(events, count, deps_));
+    stats_->add_kernel_batches(1);
     stats_->add_cpu_ns(ThreadCpuTimer::now() - c0);
     stats_->add_busy_ns(WallTimer::now() - w0);
     stats_->add_events(count);
@@ -578,7 +524,6 @@ class DetectStage {
   DetectorCore<Store> core_;
   DepMap deps_;
   obs::StageStats* stats_;
-  bool batched_;
 };
 
 /// Merge stage: folds one worker-local map into the global map.  "Merging

@@ -81,23 +81,15 @@ struct ProfilerConfig {
   /// Route addresses to workers with the paper's plain modulo (formula 1)
   /// instead of the mixed hash; exercised by the load-balance ablation.
   bool modulo_routing = false;
-  /// Detect-stage kernel: process whole chunks with signature-slot
-  /// prefetching K events ahead (DetectorCore::process_batch) instead of one
-  /// event at a time.  The dependence maps are byte-identical either way;
-  /// the flag exists for the hotpath ablation and the depfuzz kernel axis.
-  bool batched_detect = true;
   /// Front-end redundancy elision: exact repeats of an access (same word,
   /// kind, loc, var, tid, loop context) are run-length encoded before they
-  /// enter the pipeline (on_batch_rle), so the produce/route/queue path
-  /// handles one record per run instead of one per instance.  Map-preserving
-  /// (see DESIGN.md "Front-end event reduction"); the flag exists for the
+  /// enter the profiler (on_batch_rle), so canonicalization and routing
+  /// handle one record per run instead of one per instance; runs are
+  /// expanded back into raw events when they are staged into chunks, so the
+  /// queues and the detect kernel see the full stream.  Map-preserving (see
+  /// DESIGN.md "Front-end event reduction"); the flag exists for the
   /// frontend ablation and the depfuzz dedup axis.
   bool dedup = true;
-  /// Compact chunk encoding: events travel the producer->worker queues as
-  /// ~16-byte delta-packed wire records (core/wire.hpp) instead of raw
-  /// 64-byte AccessEvents, and are decoded back before detection.  The
-  /// dependence maps are byte-identical either way.
-  bool pack = true;
   // Overhead-budget sampling (sequential targets only; see DESIGN.md
   // "Overhead-budget sampling").  The sampling unit is one iteration of an
   // outermost loop: a profiled unit is observed whole, so every inner-loop

@@ -20,10 +20,9 @@ template <AccessStore Store>
 class SerialProfiler final : public IProfiler {
  public:
   SerialProfiler(Store sig_read, Store sig_write, std::size_t signature_bytes,
-                 bool batched, std::uint64_t hugepage_baseline)
+                 std::uint64_t hugepage_baseline)
       : obs_(1),
-        detect_(std::move(sig_read), std::move(sig_write), obs_.detect(0),
-                batched),
+        detect_(std::move(sig_read), std::move(sig_write), obs_.detect(0)),
         merge_(obs_.merge()),
         signature_bytes_(signature_bytes),
         hugepage_baseline_(hugepage_baseline) {}
@@ -35,8 +34,7 @@ class SerialProfiler final : public IProfiler {
     obs_.produce().add_events(count);
     obs_.produce().add_chunks(1);
     // No queue between produce and detect here, so the "wire" cost is the
-    // raw event bytes handed across the stage boundary — the serial
-    // baseline the packed parallel encoding is measured against.
+    // raw event bytes handed across the stage boundary.
     obs_.produce().add_bytes_on_wire(count * sizeof(AccessEvent));
     // Canonicalize to the word-granular address unit once, here.  The copy
     // is the produce stage's work, timed per unit batch (detect times
@@ -173,7 +171,7 @@ std::unique_ptr<IProfiler> make_serial_profiler(const ProfilerConfig& config) {
         Store w = make_store<Store>(config);
         const std::size_t bytes = r.bytes() + w.bytes();
         return std::make_unique<SerialProfiler<Store>>(
-            std::move(r), std::move(w), bytes, config.batched_detect, hp0);
+            std::move(r), std::move(w), bytes, hp0);
       });
 }
 

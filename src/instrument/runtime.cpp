@@ -170,14 +170,17 @@ void Runtime::record(const void* addr, std::size_t size, std::uint32_t file,
                      std::uint32_t line, std::uint32_t var, bool is_write) {
   (void)size;
   ThreadState& ts = thread_state();
+  SinkUse use(*this, ts);
+  if (use.sink() == nullptr) return;  // detached after the enabled() check
+  // The sampling gate reads and writes state that attach()/detach() reset
+  // from another thread; inside the SinkUse window their in-flight drain
+  // orders those resets against this access.
   if (ts.unit_off && !ts.loop_stack.empty()) {
     // Inside a skipped sampling unit: drop without touching the sink.
     ts.sampled_out += 1;
     ts.pending_gap = true;
     return;
   }
-  SinkUse use(*this, ts);
-  if (use.sink() == nullptr) return;  // detached after the enabled() check
   if (ts.pending_gap) close_gap(ts, *use.sink());
   AccessEvent ev;
   ev.addr = reinterpret_cast<std::uintptr_t>(addr);
@@ -223,16 +226,17 @@ void Runtime::record(const void* addr, std::size_t size, std::uint32_t file,
 
 void Runtime::record_free(const void* addr, std::size_t size) {
   ThreadState& ts = thread_state();
+  SinkUse use(*this, ts);
+  if (use.sink() == nullptr) return;  // detached after the enabled() check
   if (ts.unit_off && !ts.loop_stack.empty()) {
-    // A free inside a skipped unit is dropped like any other event: the
-    // burst marker that closes the gap clears strictly more state than the
-    // free would have, so the subset contract is unaffected.
+    // A free inside a skipped unit is dropped like any other event (inside
+    // the SinkUse window, as in record()): the burst marker that closes the
+    // gap clears strictly more state than the free would have, so the
+    // subset contract is unaffected.
     ts.sampled_out += 1;
     ts.pending_gap = true;
     return;
   }
-  SinkUse use(*this, ts);
-  if (use.sink() == nullptr) return;  // detached after the enabled() check
   if (ts.pending_gap) close_gap(ts, *use.sink());
   const auto base = reinterpret_cast<std::uintptr_t>(addr);
   // One lifetime event per 4-byte word overlapped by [base, base+size),

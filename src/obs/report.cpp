@@ -19,7 +19,7 @@ std::string snapshot_csv(const PipelineSnapshot& snap) {
   os << "stage,events,chunks,stalls,queue_depth_hwm,busy_sec,cpu_sec,"
         "idle_sec,idle_cpu_sec,parked_sec,parks,block_sec,wakes,"
         "migrations,rounds,kernel_batches,prefetches,events_deduped,"
-        "bytes_on_wire,pack_escapes,events_sampled_out,bursts,"
+        "bytes_on_wire,events_sampled_out,bursts,"
         "sampled_overhead_ppm,races_confirmed,races_unconfirmed,"
         "races_lock_suppressed,resident_pages,hugepage_fallbacks\n";
   for (const auto& s : snap.stages) {
@@ -30,7 +30,7 @@ std::string snapshot_csv(const PipelineSnapshot& snap) {
        << s.parks << ',' << fmt_sec(s.block_sec()) << ',' << s.wakes << ','
        << s.migrations << ',' << s.rounds << ',' << s.kernel_batches << ','
        << s.prefetches << ',' << s.events_deduped << ',' << s.bytes_on_wire
-       << ',' << s.pack_escapes << ',' << s.events_sampled_out << ','
+       << ',' << s.events_sampled_out << ','
        << s.bursts << ',' << s.sampled_overhead_ppm << ','
        << s.races_confirmed << ',' << s.races_unconfirmed << ','
        << s.races_lock_suppressed << ',' << s.resident_pages << ','
@@ -62,7 +62,6 @@ std::string snapshot_json(const PipelineSnapshot& snap) {
        << ",\"prefetches\":" << s.prefetches
        << ",\"events_deduped\":" << s.events_deduped
        << ",\"bytes_on_wire\":" << s.bytes_on_wire
-       << ",\"pack_escapes\":" << s.pack_escapes
        << ",\"events_sampled_out\":" << s.events_sampled_out
        << ",\"bursts\":" << s.bursts
        << ",\"sampled_overhead_ppm\":" << s.sampled_overhead_ppm
@@ -81,20 +80,19 @@ std::string snapshot_text(const PipelineSnapshot& snap) {
   char line[384];
   std::snprintf(line, sizeof(line),
                 "%-11s %12s %10s %8s %10s %10s %10s %10s %10s %9s %7s %9s %6s "
-                "%6s %6s %8s %10s %10s %12s %8s %10s %7s %8s %7s %7s %7s %9s "
-                "%9s\n",
+                "%6s %6s %8s %10s %10s %12s %10s %7s %8s %7s %7s %7s %9s %9s\n",
                 "stage", "events", "chunks", "stalls", "depth_hwm", "busy_s",
                 "cpu_s", "idle_s", "idlecpu_s", "parked_s", "parks", "block_s",
                 "wakes", "moved", "rounds", "batches", "prefetch", "deduped",
-                "wire_bytes", "escapes", "sampled", "bursts", "ovh_ppm",
+                "wire_bytes", "sampled", "bursts", "ovh_ppm",
                 "races", "unconf", "locksup", "res_pages", "hp_fallbk");
   os << line;
   for (const auto& s : snap.stages) {
     std::snprintf(line, sizeof(line),
                   "%-11s %12llu %10llu %8llu %10llu %10.4f %10.4f %10.4f "
                   "%10.4f %9.4f %7llu %9.4f %6llu %6llu %6llu %8llu %10llu "
-                  "%10llu %12llu %8llu %10llu %7llu %8llu %7llu %7llu %7llu "
-                  "%9llu %9llu\n",
+                  "%10llu %12llu %10llu %7llu %8llu %7llu %7llu %7llu %9llu "
+                  "%9llu\n",
                   s.stage.c_str(), static_cast<unsigned long long>(s.events),
                   static_cast<unsigned long long>(s.chunks),
                   static_cast<unsigned long long>(s.stalls),
@@ -108,7 +106,6 @@ std::string snapshot_text(const PipelineSnapshot& snap) {
                   static_cast<unsigned long long>(s.prefetches),
                   static_cast<unsigned long long>(s.events_deduped),
                   static_cast<unsigned long long>(s.bytes_on_wire),
-                  static_cast<unsigned long long>(s.pack_escapes),
                   static_cast<unsigned long long>(s.events_sampled_out),
                   static_cast<unsigned long long>(s.bursts),
                   static_cast<unsigned long long>(s.sampled_overhead_ppm),

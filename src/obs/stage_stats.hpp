@@ -49,7 +49,6 @@ struct alignas(64) StageStats {
   std::atomic<std::uint64_t> prefetches{0};      ///< slot prefetches issued K ahead (detect)
   std::atomic<std::uint64_t> events_deduped{0};  ///< accesses elided as exact repeats (produce)
   std::atomic<std::uint64_t> bytes_on_wire{0};   ///< chunk payload bytes actually queued (produce)
-  std::atomic<std::uint64_t> pack_escapes{0};    ///< wire records that needed the escape slot (produce)
   std::atomic<std::uint64_t> events_sampled_out{0};  ///< accesses dropped by the sampling gate (produce)
   std::atomic<std::uint64_t> bursts{0};              ///< sampling gaps closed by a burst marker (produce)
   std::atomic<std::uint64_t> sampled_overhead_ppm{0};  ///< controller's measured overhead, parts per million (produce, hwm)
@@ -78,7 +77,6 @@ struct alignas(64) StageStats {
   void add_prefetches(std::uint64_t n) { prefetches.fetch_add(n, std::memory_order_relaxed); }
   void add_events_deduped(std::uint64_t n) { events_deduped.fetch_add(n, std::memory_order_relaxed); }
   void add_bytes_on_wire(std::uint64_t n) { bytes_on_wire.fetch_add(n, std::memory_order_relaxed); }
-  void add_pack_escapes(std::uint64_t n) { pack_escapes.fetch_add(n, std::memory_order_relaxed); }
   void add_events_sampled_out(std::uint64_t n) { events_sampled_out.fetch_add(n, std::memory_order_relaxed); }
   void add_bursts(std::uint64_t n) { bursts.fetch_add(n, std::memory_order_relaxed); }
   void add_races_confirmed(std::uint64_t n) { races_confirmed.fetch_add(n, std::memory_order_relaxed); }
@@ -131,6 +129,8 @@ struct StageSnapshot {
   std::uint64_t prefetches = 0;
   std::uint64_t events_deduped = 0;
   std::uint64_t bytes_on_wire = 0;
+  /// Always 0: chunks carry raw events, so no record ever escapes.  Kept
+  /// for readers of the snapshot that still derive an escape ratio.
   std::uint64_t pack_escapes = 0;
   std::uint64_t events_sampled_out = 0;
   std::uint64_t bursts = 0;
@@ -232,7 +232,6 @@ class PipelineObs {
     out.prefetches = s.prefetches.load(std::memory_order_relaxed);
     out.events_deduped = s.events_deduped.load(std::memory_order_relaxed);
     out.bytes_on_wire = s.bytes_on_wire.load(std::memory_order_relaxed);
-    out.pack_escapes = s.pack_escapes.load(std::memory_order_relaxed);
     out.events_sampled_out =
         s.events_sampled_out.load(std::memory_order_relaxed);
     out.bursts = s.bursts.load(std::memory_order_relaxed);

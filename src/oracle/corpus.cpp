@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -17,38 +15,19 @@
 namespace depprof {
 namespace {
 
-// v2 added the front-end reduction axes and hard-requires their keys: a
-// repro that omits dedup=/pack= would silently replay under whatever the
-// current defaults are, which is exactly the ambiguity the corpus lint
-// exists to reject.  v1 files predate the axes and replay with both off —
-// the semantics they were recorded under.  v3 replaced the three fixed
-// (loop, entry, iter) triples per event with interned nest-context ids
-// (`nest` directives + ctx=/iters= keys); v1/v2 files still parse, their
-// triples re-interned into an equivalent nest chain.
-constexpr std::string_view kVersionLineV1 = "depfuzz-repro v1";
-constexpr std::string_view kVersionLineV2 = "depfuzz-repro v2";
-constexpr std::string_view kVersionLineV3 = "depfuzz-repro v3";
-// v4 adds the deterministic-schedule section (`sched` + `sstep` lines);
-// v1-v3 files parse with the section absent.
-constexpr std::string_view kVersionLineV4 = "depfuzz-repro v4";
-// v5 adds the overhead-budget sampling axes and hard-requires their keys
-// (budget=/burst=/skip=) for the same reason v2 hard-required dedup=/pack=:
-// a repro that omits them would silently replay under whatever the current
-// sampling defaults are.  v1-v4 files parse with sampling off.
-constexpr std::string_view kVersionLineV5 = "depfuzz-repro v5";
-// v6 adds the first-class race mode and hard-requires its key (races=).
-// A races=1 config that also samples (budget<1 or skip>0) or profiles a
-// sequential target (mt=0) is a parse error, mirroring races_config_ok():
-// the profiler factories refuse such configs, so a repro claiming one
-// could never have been recorded and must not lint clean.  v1-v5 files
-// parse with race mode off.
-constexpr std::string_view kVersionLineV6 = "depfuzz-repro v6";
-// v7 adds the packed paged exact store (`storage=packed`); the name is an
-// unknown storage value below v7 so a repro recorded against the packed
-// backend cannot silently replay as a hash-table one under an old grammar.
-// A v7 file inherits every v5/v6 hard-required key (budget=/burst=/skip=/
-// races=) regardless of whether the run sampled or raced.
-constexpr std::string_view kVersionLineV7 = "depfuzz-repro v7";
+// The one accepted grammar: any other first line, an earlier version
+// included, is a parse error.
+constexpr std::string_view kVersionLine = "depfuzz-repro v8";
+
+// Every key the writer emits on the config and lb lines is hard-required
+// on read: a repro that omitted one would silently replay under whatever
+// the current default happens to be, which is exactly the ambiguity the
+// corpus lint exists to reject.
+constexpr std::string_view kConfigKeys[] = {
+    "storage", "slots", "sighash", "mt", "workers", "queue", "wait", "chunk",
+    "qcap", "modulo_routing", "dedup", "budget", "burst", "skip", "races"};
+constexpr std::string_view kLbKeys[] = {"enabled", "sample_shift", "interval",
+                                        "threshold", "top_k", "max_rounds"};
 
 /// File-scoped nest state threaded through event parsing.  Events hold
 /// loader-local context ids until the whole file has parsed: the nest
@@ -56,26 +35,20 @@ constexpr std::string_view kVersionLineV7 = "depfuzz-repro v7";
 /// after every event has fixed (or contradicted) them.
 struct NestParseState {
   NestTableLoader table;
-  /// v3: file nest id -> loader-local id (id 0 preseeded to root).
+  /// File nest id -> loader-local id (id 0 preseeded to root).
   std::unordered_map<std::uint32_t, std::uint32_t> id_map{{0, 0}};
-  /// v1/v2 compat: (parent local id, loop, entry) -> local id, so the same
-  /// dynamic entry named by several events re-interns to one node.
-  std::map<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>,
-           std::uint32_t>
-      legacy_chain;
 };
 
 const char* sig_hash_name(SigHash h) {
   return h == SigHash::kModulo ? "modulo" : "mix";
 }
 
-bool parse_storage(std::string_view v, int version, StorageKind& out) {
+bool parse_storage(std::string_view v, StorageKind& out) {
   if (v == "signature") out = StorageKind::kSignature;
   else if (v == "perfect") out = StorageKind::kPerfect;
   else if (v == "shadow") out = StorageKind::kShadow;
   else if (v == "hashtable") out = StorageKind::kHashTable;
-  // v7-only backend; an unknown storage value below v7.
-  else if (v == "packed" && version >= 7) out = StorageKind::kPacked;
+  else if (v == "packed") out = StorageKind::kPacked;
   else return false;
   return true;
 }
@@ -164,20 +137,23 @@ bool note_key(std::vector<std::string_view>& seen, std::string_view key,
   return true;
 }
 
-/// Which hard-required config keys the line actually carried (checked
-/// against the file's version by the caller).
-struct ConfigKeysSeen {
-  bool dedup = false;
-  bool pack = false;
-  bool budget = false;
-  bool burst = false;
-  bool skip = false;
-  bool races = false;
-};
+/// Names the first of `required` missing from `seen`, or returns true.
+template <std::size_t N>
+bool require_keys(const std::vector<std::string_view>& seen,
+                  const std::string_view (&required)[N], const char* line,
+                  std::string& err) {
+  for (const std::string_view key : required) {
+    if (std::find(seen.begin(), seen.end(), key) == seen.end()) {
+      err = std::string(line) + " line missing the " + std::string(key) +
+            "= key";
+      return false;
+    }
+  }
+  return true;
+}
 
-bool parse_config_line(const std::vector<std::string_view>& toks, int version,
-                       ProfilerConfig& cfg, ConfigKeysSeen& saw,
-                       std::string& err) {
+bool parse_config_line(const std::vector<std::string_view>& toks,
+                       ProfilerConfig& cfg, std::string& err) {
   std::vector<std::string_view> keys;
   for (std::size_t i = 1; i < toks.size(); ++i) {
     std::string_view key, value;
@@ -188,7 +164,7 @@ bool parse_config_line(const std::vector<std::string_view>& toks, int version,
     if (!note_key(keys, key, err)) return false;
     std::uint64_t u = 0;
     bool ok;
-    if (key == "storage") ok = parse_storage(value, version, cfg.storage);
+    if (key == "storage") ok = parse_storage(value, cfg.storage);
     else if (key == "slots") ok = parse_u64(value, u), cfg.slots = u;
     else if (key == "sighash") ok = parse_sig_hash(value, cfg.sig_hash);
     else if (key == "mt") ok = parse_bool(value, cfg.mt_targets);
@@ -199,34 +175,20 @@ bool parse_config_line(const std::vector<std::string_view>& toks, int version,
     else if (key == "chunk") ok = parse_u64(value, u), cfg.chunk_size = u;
     else if (key == "qcap") ok = parse_u64(value, u), cfg.queue_capacity = u;
     else if (key == "modulo_routing") ok = parse_bool(value, cfg.modulo_routing);
-    // Written by every repro since the batched kernel landed; optional on
-    // read so older committed corpus files still parse.
-    else if (key == "batch") ok = parse_bool(value, cfg.batched_detect);
-    // v2-only front-end reduction axes; in a v1 file they are unknown keys
-    // (strictness over permissiveness — see the version-line comment).
-    else if (key == "dedup" && version >= 2)
-      ok = parse_bool(value, cfg.dedup), saw.dedup = true;
-    else if (key == "pack" && version >= 2)
-      ok = parse_bool(value, cfg.pack), saw.pack = true;
-    // v5-only overhead-budget sampling axes; unknown keys below v5.
-    else if (key == "budget" && version >= 5)
-      ok = parse_double(value, cfg.budget), saw.budget = true;
-    else if (key == "burst" && version >= 5)
-      ok = parse_u64(value, u), cfg.sampling_burst = static_cast<unsigned>(u),
-      saw.burst = true;
-    else if (key == "skip" && version >= 5)
-      ok = parse_u64(value, u), cfg.sampling_skip = static_cast<unsigned>(u),
-      saw.skip = true;
-    // v6-only first-class race mode; unknown key below v6.
-    else if (key == "races" && version >= 6)
-      ok = parse_bool(value, cfg.races), saw.races = true;
+    else if (key == "dedup") ok = parse_bool(value, cfg.dedup);
+    else if (key == "budget") ok = parse_double(value, cfg.budget);
+    else if (key == "burst")
+      ok = parse_u64(value, u), cfg.sampling_burst = static_cast<unsigned>(u);
+    else if (key == "skip")
+      ok = parse_u64(value, u), cfg.sampling_skip = static_cast<unsigned>(u);
+    else if (key == "races") ok = parse_bool(value, cfg.races);
     else ok = false;
     if (!ok) {
       err = "bad config token '" + std::string(toks[i]) + "'";
       return false;
     }
   }
-  return true;
+  return require_keys(keys, kConfigKeys, "config", err);
 }
 
 bool parse_lb_line(const std::vector<std::string_view>& toks,
@@ -259,10 +221,10 @@ bool parse_lb_line(const std::vector<std::string_view>& toks,
       return false;
     }
   }
-  return true;
+  return require_keys(keys, kLbKeys, "lb", err);
 }
 
-/// v4 `sched seed=N algo=<name>` directive.
+/// `sched seed=N algo=<name>` directive.
 bool parse_sched_line(const std::vector<std::string_view>& toks,
                       ReproCase& repro, std::string& err) {
   std::vector<std::string_view> keys;
@@ -287,7 +249,7 @@ bool parse_sched_line(const std::vector<std::string_view>& toks,
   return true;
 }
 
-/// v3 `nest id=N parent=P loop=L` directive: declares one dynamic entry.
+/// `nest id=N parent=P loop=L` directive: declares one dynamic entry.
 /// Parents must be declared (or 0) before their children; all three keys
 /// are required — a defaulted parent/loop would silently re-shape the nest.
 bool parse_nest_line(const std::vector<std::string_view>& toks,
@@ -331,32 +293,8 @@ bool parse_nest_line(const std::vector<std::string_view>& toks,
   return true;
 }
 
-/// Re-interns a v1/v2 `loops=` value (three innermost-first (loop, entry,
-/// iter) triples, 0 = unused) as a nest chain and stamps ctx/iters.
-bool apply_legacy_loops(AccessEvent& ev, std::string_view value,
-                        NestParseState& nest) {
-  unsigned l[3], e[3], it[3];
-  const std::string s(value);
-  if (std::sscanf(s.c_str(), "%u:%u:%u,%u:%u:%u,%u:%u:%u", &l[0], &e[0],
-                  &it[0], &l[1], &e[1], &it[1], &l[2], &e[2], &it[2]) != 9)
-    return false;
-  std::uint32_t parent = NestForest::kRoot;
-  std::size_t depth = 0;
-  for (int i = 2; i >= 0; --i) {  // triples were stored innermost-first
-    if (l[i] == 0) continue;
-    const auto key = std::make_tuple(parent, l[i], e[i]);
-    auto [pos, inserted] = nest.legacy_chain.try_emplace(key, 0);
-    if (inserted) pos->second = nest.table.declare(parent, l[i]);
-    parent = pos->second;
-    if (depth < kNestIters) ev.iters[depth] = it[i];
-    ++depth;
-  }
-  ev.ctx = parent;
-  return true;
-}
-
 bool parse_event_line(const std::vector<std::string_view>& toks,
-                      AccessEvent& ev, int version, NestParseState& nest,
+                      AccessEvent& ev, const NestParseState& nest,
                       std::string& err) {
   if (toks.size() < 2) {
     err = "bad event token 'missing event kind'";
@@ -389,16 +327,14 @@ bool parse_event_line(const std::vector<std::string_view>& toks,
     else if (key == "ts") ok = parse_u64(value, ev.ts);
     else if (key == "flags")
       ok = parse_u64(value, u), ev.flags = static_cast<std::uint8_t>(u);
-    else if (key == "loops" && version <= 2)
-      ok = apply_legacy_loops(ev, value, nest);
-    else if (key == "ctx" && version >= 3) {
+    else if (key == "ctx") {
       ok = parse_u64(value, u);
       if (ok) {
         const auto it = nest.id_map.find(static_cast<std::uint32_t>(u));
         ok = it != nest.id_map.end();
         if (ok) ev.ctx = it->second;
       }
-    } else if (key == "iters" && version >= 3) {
+    } else if (key == "iters") {
       const std::string s(value);
       std::size_t idx = 0;
       const char* p = s.c_str();
@@ -423,22 +359,7 @@ bool parse_event_line(const std::vector<std::string_view>& toks,
 std::string format_repro(const ReproCase& repro) {
   std::ostringstream os;
   const ProfilerConfig& c = repro.cfg;
-  // Lowest version whose grammar covers the case: the packed backend forces
-  // v7, race mode forces v6, sampling axes force v5 (their keys/values are
-  // unknown below those versions), a schedule section forces v4, and
-  // everything else keeps writing v3 so packed-, race-, schedule- and
-  // sampling-free corpus files stay byte-stable across profiler growth.
-  const ProfilerConfig defaults;
-  const bool sampled = c.budget != defaults.budget ||
-                       c.sampling_burst != defaults.sampling_burst ||
-                       c.sampling_skip != defaults.sampling_skip;
-  const bool packed = c.storage == StorageKind::kPacked;
-  os << (packed     ? kVersionLineV7
-         : c.races  ? kVersionLineV6
-         : sampled  ? kVersionLineV5
-         : repro.sched ? kVersionLineV4
-                       : kVersionLineV3)
-     << '\n';
+  os << kVersionLine << '\n';
   if (!repro.note.empty()) os << "note " << repro.note << '\n';
   os << "config storage=" << storage_kind_name(c.storage)
      << " slots=" << c.slots << " sighash=" << sig_hash_name(c.sig_hash)
@@ -447,16 +368,9 @@ std::string format_repro(const ReproCase& repro) {
      << " wait=" << wait_kind_name(c.wait) << " chunk=" << c.chunk_size
      << " qcap=" << c.queue_capacity
      << " modulo_routing=" << (c.modulo_routing ? 1 : 0)
-     << " batch=" << (c.batched_detect ? 1 : 0)
-     << " dedup=" << (c.dedup ? 1 : 0) << " pack=" << (c.pack ? 1 : 0);
-  // A v6 file inherits v5's hard-required sampling keys (so race-mode
-  // repros carry them even when unsampled), and a v7 file inherits both
-  // sets — packed repros always spell out their sampling and race axes.
-  if (sampled || c.races || packed)
-    os << " budget=" << c.budget << " burst=" << c.sampling_burst
-       << " skip=" << c.sampling_skip;
-  if (c.races || packed) os << " races=" << (c.races ? 1 : 0);
-  os << '\n';
+     << " dedup=" << (c.dedup ? 1 : 0) << " budget=" << c.budget
+     << " burst=" << c.sampling_burst << " skip=" << c.sampling_skip
+     << " races=" << (c.races ? 1 : 0) << '\n';
   const LoadBalanceConfig& lb = c.load_balance;
   os << "lb enabled=" << (lb.enabled ? 1 : 0)
      << " sample_shift=" << lb.sample_shift
@@ -507,10 +421,9 @@ std::string format_repro(const ReproCase& repro) {
 
 bool parse_repro(ReproCase& out, std::string_view text, std::string* error) {
   ReproCase repro;
-  int version = 0;
+  bool saw_version = false;
   bool saw_config = false;
   bool saw_lb = false;
-  ConfigKeysSeen saw;
   NestParseState nest;
   std::size_t line_no = 0;
   std::size_t pos = 0;
@@ -531,39 +444,12 @@ bool parse_repro(ReproCase& out, std::string_view text, std::string* error) {
     pos = nl == std::string_view::npos ? text.size() + 1 : nl + 1;
     ++line_no;
     if (line.empty()) continue;
-    if (version == 0) {
-      if (line == kVersionLineV1) {
-        version = 1;
-        // v1 predates the front-end reduction axes; such repros were
-        // recorded (and minimized) against the raw event path.
-        repro.cfg.dedup = false;
-        repro.cfg.pack = false;
-      } else if (line == kVersionLineV2) {
-        version = 2;
-      } else if (line == kVersionLineV3) {
-        version = 3;
-      } else if (line == kVersionLineV4) {
-        version = 4;
-      } else if (line == kVersionLineV5) {
-        version = 5;
-      } else if (line == kVersionLineV6) {
-        version = 6;
-      } else if (line == kVersionLineV7) {
-        version = 7;
-      } else {
+    if (!saw_version) {
+      if (line != kVersionLine)
         return set_error(error, line_no,
-                         "expected version line '" +
-                             std::string(kVersionLineV1) + "' .. '" +
-                             std::string(kVersionLineV7) + "'");
-      }
-      // v1-v4 predate the sampling axes: replay with sampling off, the
-      // semantics those repros were recorded under.
-      if (version < 5) {
-        repro.cfg.budget = 1.0;
-        repro.cfg.sampling_skip = 0;
-      }
-      // v1-v5 predate the race mode: replay with it off.
-      if (version < 6) repro.cfg.races = false;
+                         "expected version line '" + std::string(kVersionLine) +
+                             "'");
+      saw_version = true;
       continue;
     }
     if (line[0] == '#') continue;
@@ -578,16 +464,8 @@ bool parse_repro(ReproCase& out, std::string_view text, std::string* error) {
     } else if (toks[0] == "config") {
       if (saw_config)
         return set_error(error, line_no, "duplicate config line");
-      if (!parse_config_line(toks, version, repro.cfg, saw, err))
+      if (!parse_config_line(toks, repro.cfg, err))
         return set_error(error, line_no, err);
-      if (version >= 2 && (!saw.dedup || !saw.pack))
-        return set_error(error, line_no,
-                         "v2 config requires dedup= and pack= keys");
-      if (version >= 5 && (!saw.budget || !saw.burst || !saw.skip))
-        return set_error(error, line_no,
-                         "v5 config requires budget=, burst= and skip= keys");
-      if (version >= 6 && !saw.races)
-        return set_error(error, line_no, "v6 config requires the races= key");
       // Semantic rule, not just grammar: the profiler factories refuse a
       // race-mode config that samples or targets a sequential program, so
       // a repro claiming one could never have been recorded.
@@ -603,16 +481,12 @@ bool parse_repro(ReproCase& out, std::string_view text, std::string* error) {
         return set_error(error, line_no, err);
       saw_lb = true;
     } else if (toks[0] == "sched") {
-      if (version < 4)
-        return set_error(error, line_no, "sched directive requires v4");
       if (!after_config("sched")) return false;
       if (repro.sched)
         return set_error(error, line_no, "duplicate sched line");
       if (!parse_sched_line(toks, repro, err))
         return set_error(error, line_no, err);
     } else if (toks[0] == "sstep") {
-      if (version < 4)
-        return set_error(error, line_no, "sstep directive requires v4");
       if (!repro.sched)
         return set_error(error, line_no, "sstep before sched directive");
       if (toks.size() != 3)
@@ -620,15 +494,13 @@ bool parse_repro(ReproCase& out, std::string_view text, std::string* error) {
       repro.schedule.steps.push_back(
           {std::string(toks[1]), std::string(toks[2])});
     } else if (toks[0] == "nest") {
-      if (version < 3)
-        return set_error(error, line_no, "nest directive requires v3");
       if (!after_config("nest")) return false;
       if (!parse_nest_line(toks, nest, err))
         return set_error(error, line_no, err);
     } else if (toks[0] == "ev") {
       if (!after_config("ev")) return false;
       AccessEvent ev;
-      if (!parse_event_line(toks, ev, version, nest, err))
+      if (!parse_event_line(toks, ev, nest, err))
         return set_error(error, line_no, err);
       if (!nest.table.observe(ev.ctx, ev.iters))
         return set_error(error, line_no,
@@ -640,8 +512,9 @@ bool parse_repro(ReproCase& out, std::string_view text, std::string* error) {
                        "unknown directive '" + std::string(toks[0]) + "'");
     }
   }
-  if (version == 0) return set_error(error, 0, "empty file");
+  if (!saw_version) return set_error(error, 0, "empty file");
   if (!saw_config) return set_error(error, line_no, "missing config line");
+  if (!saw_lb) return set_error(error, line_no, "missing lb line");
   const std::vector<std::uint32_t> forest_id = nest.table.intern();
   for (AccessEvent& ev : repro.trace.events) ev.ctx = forest_id[ev.ctx];
   out = std::move(repro);

@@ -6,12 +6,12 @@
 // tests/corpus/ is replayed by the corpus regression test on each CI run,
 // turning yesterday's fuzz finding into tomorrow's regression gate.
 //
-//   depfuzz-repro v6
+//   depfuzz-repro v8
 //   # free-form provenance comment
 //   note <one-line description>
 //   config storage=perfect slots=1048576 sighash=modulo mt=1 workers=4
 //          ... queue=lock-free-spsc wait=park chunk=7 qcap=64 modulo_routing=0
-//          ... batch=1 dedup=1 pack=1 budget=1 burst=8 skip=0 races=1
+//          ... dedup=1 budget=1 burst=8 skip=0 races=1
 //   lb enabled=1 sample_shift=0 interval=200 threshold=1.25 top_k=10
 //          ... max_rounds=64
 //   sched seed=7 algo=pct
@@ -23,44 +23,26 @@
 //          ... ctx=2 iters=3,1,0,0,0,0,0
 //
 // (`config` and `lb` are single lines; they are wrapped here for the
-// comment only.)  `ev` kinds are R / W / F.  Unknown directives or keys,
-// duplicate keys within a line, duplicate config/lb/sched lines, and any
-// directive other than `note` appearing before the config line are hard
-// parse errors with the offending line number — the corpus lint relies on
-// strictness, so a typo in a committed repro fails CI instead of silently
-// replaying something else.
+// comment only.)  `ev` kinds are R / W / F.  The strict parser rejects,
+// with the offending line number: any version line but `depfuzz-repro v8`,
+// unknown directives or keys, duplicate keys within a line, a config or
+// lb line missing any of its keys, a missing or duplicate config/lb line,
+// a duplicate sched line, and any directive other than `note` appearing
+// before the config line — the corpus lint relies on strictness, so a
+// typo in a committed repro fails CI instead of silently replaying
+// something else.  races=1 combined with sampling (budget<1 or skip>0) or
+// a sequential target (mt=0) is rejected too, mirroring
+// races_config_ok(): the profiler factories refuse such configs, so a
+// repro claiming one could never have been recorded.
 //
-// Versioning: v6 (current) adds the first-class race mode (Sec. V-B) and
-// hard-requires its key (races=) on the config line.  races=1 combined
-// with sampling (budget<1 or skip>0) or a sequential target (mt=0) is a
-// hard parse error mirroring races_config_ok(): the profiler factories
-// refuse such configs, so a repro claiming one could never have been
-// recorded and must not lint clean.  v1–v5 files replay with race mode
-// off.  v5 added the overhead-budget sampling axes and hard-requires
-// their keys (budget=/burst=/skip=) on the config line, so a repro can
-// never silently replay under whichever sampling defaults happen to be
-// current; v1–v4 files replay with sampling off, the semantics they were
-// recorded under.  v4 added the deterministic-schedule section for
-// interleaving-dependent findings: a `sched` directive (exploration seed
-// and algorithm) plus zero or more `sstep <thread> <site>` lines — the
-// recorded schedule the failing run took, replayed verbatim by the
-// controller (src/sched/) when the repro is re-run.  The worker count and
-// queue kind a schedule is only meaningful against were already on the
-// config line (workers=, queue=).  v3 carries the loop-nest context as
-// interned `nest` directives (file-local ids, parents declared before
-// children) referenced by each event's ctx= key, plus the root-anchored
-// iteration window iters=; parsing re-interns the table into the process
-// nest forest.  v2 files, whose events carried three fixed innermost-first
-// (loop, entry, iter) triples under loops=, still parse: the triples are
-// re-interned into an equivalent nest chain keyed by (parent, loop,
-// entry).  v2 also introduced — and every later version keeps — the
-// hard-required front-end reduction keys dedup= and pack= on the config
-// line.  v1 files (which predate those axes) still parse, with both axes
-// off.  v1–v3 files parse with the schedule section absent (sched
-// disabled).  format_repro writes the lowest version whose grammar covers
-// the case (race mode forces v6, sampling v5, a schedule section v4,
-// everything else v3), so committed files stay byte-stable across
-// profiler growth.
+// The optional `sched` directive (exploration seed and algorithm) plus
+// zero or more `sstep <thread> <site>` lines record the interleaving the
+// failing run took; the controller (src/sched/) replays it verbatim when
+// the repro is re-run.  The loop-nest context is carried as interned
+// `nest` directives (file-local ids, parents declared before children)
+// referenced by each event's ctx= key, plus the root-anchored iteration
+// window iters=; parsing re-interns the table into the process nest
+// forest.
 //
 // MT repros replay order-faithfully from a single thread: the parallel
 // pipeline stages events by producing thread, not by event tid, so a
@@ -81,26 +63,25 @@ struct ReproCase {
   std::string note;  ///< one-line provenance ("" allowed)
   ProfilerConfig cfg;
   Trace trace;
-  /// Deterministic-schedule section (v4).  When sched is true the case is
+  /// Deterministic-schedule section.  When sched is true the case is
   /// replayed under the schedule controller: `schedule` non-empty replays
   /// that exact interleaving, empty re-explores from (sched_seed,
-  /// sched_algo).  v1–v3 files parse with sched == false.
+  /// sched_algo).
   bool sched = false;
   std::uint64_t sched_seed = 1;
   sched::Algo sched_algo = sched::Algo::kRandomWalk;
   sched::ScheduleTrace schedule;
 };
 
-/// Renders `repro` in the lowest text-format version whose grammar covers
-/// it (see the versioning note above; the sched section is present only
-/// when the case carries one).
+/// Renders `repro` in the v8 grammar above (the sched section is present
+/// only when the case carries one).
 std::string format_repro(const ReproCase& repro);
 
 /// Strict parser: returns false and sets `error` (when non-null, prefixed
-/// with the offending line number) on any unknown directive, unknown or
-/// duplicate key, malformed value, missing required key, duplicate
-/// config/lb/sched line, directive before the config line, or missing
-/// section.
+/// with the offending line number) on any version line but v8, unknown
+/// directive, unknown or duplicate key, malformed value, missing key,
+/// duplicate config/lb/sched line, directive before the config line, or
+/// missing section.
 bool parse_repro(ReproCase& out, std::string_view text,
                  std::string* error = nullptr);
 

@@ -13,18 +13,20 @@
 //     loop nest (every event rewritten onto a depth-1 entry of its
 //     innermost loop) so repros that do not need the nest say so;
 //   * config simplification: a fixed ladder of "simpler" settings (fewer
-//     workers, chunk size 1, mutex queue, spin wait, load balancer off),
+//     workers, chunk size 1, mutex queue, spin wait, load balancer off,
+//     dedup off, perfect store, sampling off),
 //     each kept only if the shrunk trace still fails under it;
-//   * schedule minimization (v4 repros): first try dropping the recorded
-//     schedule entirely — a failure that reproduces free-running did not
-//     need the interleaving and the repro should say so — then truncate
-//     the schedule from the back (replay past the last recorded step
-//     continues unscheduled, so every prefix is a valid schedule).
+//   * schedule minimization (repros with a sched section): first try
+//     dropping the recorded schedule entirely — a failure that reproduces
+//     free-running did not need the interleaving and the repro should say
+//     so — then truncate the schedule from the back (replay past the last
+//     recorded step continues unscheduled, so every prefix is a valid
+//     schedule).
 //
 // The predicate re-runs the real profilers, so every evaluation costs a
 // pipeline spin-up; the budget caps worst-case shrink time.  Parallel-only
 // failures can be schedule-dependent — that is exactly what the schedule
-// section of a v4 repro pins down; for legacy flaky repros the caller may
+// section of a repro pins down; for flaky cases without one the caller may
 // still wrap its predicate with retries.
 
 #include <cstddef>
@@ -63,9 +65,9 @@ ProfilerConfig shrink_config(const Trace& trace, ProfilerConfig cfg,
 using SchedFailurePredicate = std::function<bool(
     const Trace&, const ProfilerConfig&, const sched::ScheduleTrace*)>;
 
-/// Schedule-minimization rung for v4 repros.  Tries dropping the schedule
-/// outright, then binary-truncates it from the back while the failure keeps
-/// reproducing under replay.  Returns the smallest still-failing schedule
+/// Schedule-minimization rung for repros with a sched section.  Tries
+/// dropping the schedule outright, then binary-truncates it from the back
+/// while the failure keeps reproducing under replay.  Returns the smallest still-failing schedule
 /// (empty with *dropped == true when the failure is not
 /// schedule-dependent).
 sched::ScheduleTrace shrink_schedule(const Trace& trace,

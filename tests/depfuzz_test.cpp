@@ -543,13 +543,9 @@ TEST(Shrinker, ConfigLadderSimplifiesWhenFailureIsConfigIndependent) {
   EXPECT_EQ(simple.wait, WaitKind::kSpin);
   EXPECT_FALSE(simple.load_balance.enabled);
   EXPECT_FALSE(simple.modulo_routing);
-  // The ladder also steps the batched kernel down to the per-event loop so
-  // a repro that survives is known not to depend on batching.
-  EXPECT_FALSE(simple.batched_detect);
-  // Likewise the front-end reduction layers: a config-independent failure
-  // must shrink to a repro with both dedup and pack off.
+  // Likewise the front-end reduction layer: a config-independent failure
+  // must shrink to a repro with dedup off.
   EXPECT_FALSE(simple.dedup);
-  EXPECT_FALSE(simple.pack);
 }
 
 TEST(Shrinker, KeepsConfigWhenSimplificationLosesTheFailure) {
@@ -578,9 +574,7 @@ ReproCase sample_repro() {
   r.cfg.chunk_size = 7;
   r.cfg.queue_capacity = 32;
   r.cfg.modulo_routing = true;
-  r.cfg.batched_detect = false;  // non-default: the round trip must keep it
-  r.cfg.dedup = false;           // non-default, like batched_detect
-  r.cfg.pack = false;
+  r.cfg.dedup = false;  // non-default: the round trip must keep it
   r.cfg.load_balance.enabled = true;
   r.cfg.load_balance.sample_shift = 2;
   r.cfg.load_balance.eval_interval_chunks = 17;
@@ -599,35 +593,99 @@ ReproCase sample_repro() {
   return r;
 }
 
+/// Every ProfilerConfig field the repro grammar carries must survive.
+void expect_same_config(const ProfilerConfig& a, const ProfilerConfig& b) {
+  EXPECT_EQ(a.storage, b.storage);
+  EXPECT_EQ(a.slots, b.slots);
+  EXPECT_EQ(a.sig_hash, b.sig_hash);
+  EXPECT_EQ(a.mt_targets, b.mt_targets);
+  EXPECT_EQ(a.workers, b.workers);
+  EXPECT_EQ(a.queue, b.queue);
+  EXPECT_EQ(a.wait, b.wait);
+  EXPECT_EQ(a.chunk_size, b.chunk_size);
+  EXPECT_EQ(a.queue_capacity, b.queue_capacity);
+  EXPECT_EQ(a.modulo_routing, b.modulo_routing);
+  EXPECT_EQ(a.dedup, b.dedup);
+  EXPECT_DOUBLE_EQ(a.budget, b.budget);
+  EXPECT_EQ(a.sampling_burst, b.sampling_burst);
+  EXPECT_EQ(a.sampling_skip, b.sampling_skip);
+  EXPECT_EQ(a.races, b.races);
+  const LoadBalanceConfig& la = a.load_balance;
+  const LoadBalanceConfig& lb = b.load_balance;
+  EXPECT_EQ(la.enabled, lb.enabled);
+  EXPECT_EQ(la.sample_shift, lb.sample_shift);
+  EXPECT_EQ(la.eval_interval_chunks, lb.eval_interval_chunks);
+  EXPECT_DOUBLE_EQ(la.imbalance_threshold, lb.imbalance_threshold);
+  EXPECT_EQ(la.top_k, lb.top_k);
+  EXPECT_EQ(la.max_rounds, lb.max_rounds);
+}
+
+/// (loop, entry_iter) of every entry from `ctx` up to the root: the shape
+/// a re-interned context must keep (parsing may hand out new node ids).
+std::vector<std::pair<std::uint32_t, std::uint32_t>> ctx_shape(
+    std::uint32_t ctx) {
+  const NestForest& forest = nest_forest();
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> shape;
+  for (; ctx != NestForest::kRoot; ctx = forest.parent(ctx))
+    shape.emplace_back(forest.loop(ctx), forest.entry_iter(ctx));
+  return shape;
+}
+
+void expect_same_events(const Trace& a, const Trace& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const AccessEvent& x = a.events[i];
+    const AccessEvent& y = b.events[i];
+    EXPECT_EQ(x.kind, y.kind) << "event " << i;
+    EXPECT_EQ(x.addr, y.addr) << "event " << i;
+    EXPECT_EQ(x.loc, y.loc) << "event " << i;
+    EXPECT_EQ(x.var, y.var) << "event " << i;
+    EXPECT_EQ(x.tid, y.tid) << "event " << i;
+    EXPECT_EQ(x.ts, y.ts) << "event " << i;
+    EXPECT_EQ(x.flags, y.flags) << "event " << i;
+    EXPECT_EQ(ctx_shape(x.ctx), ctx_shape(y.ctx)) << "event " << i;
+    for (std::size_t l = 0; l < kNestIters; ++l)
+      EXPECT_EQ(x.iters[l], y.iters[l]) << "event " << i << " level " << l;
+  }
+}
+
+// A complete v8 config line and lb line; tests edit single keys of them.
+const std::string kConfigLine =
+    "config storage=perfect slots=16 sighash=modulo mt=0 workers=1 "
+    "queue=mutex wait=spin chunk=1 qcap=4 modulo_routing=0 dedup=0 budget=1 "
+    "burst=8 skip=0 races=0";
+const std::string kLbLine =
+    "lb enabled=0 sample_shift=0 interval=50000 threshold=1.25 top_k=10 "
+    "max_rounds=64";
+
+/// `line` with the `key=...` token replaced by `token` ("" drops it).
+std::string edit_key(const std::string& line, const std::string& key,
+                     const std::string& token) {
+  const std::size_t at = line.find(" " + key + "=");
+  if (at == std::string::npos) return line + " " + token;
+  std::size_t end = line.find(' ', at + 1);
+  if (end == std::string::npos) end = line.size();
+  return line.substr(0, at) + (token.empty() ? "" : " " + token) +
+         line.substr(end);
+}
+
+/// A v8 repro: version line, config (line 2), lb (line 3), then `body`.
+std::string v8(const std::string& body = "",
+               const std::string& config = kConfigLine) {
+  return "depfuzz-repro v8\n" + config + "\n" + kLbLine + "\n" + body;
+}
+
 TEST(Corpus, FormatParseRoundTrip) {
   const ReproCase original = sample_repro();
   const std::string text = format_repro(original);
+  EXPECT_EQ(text.rfind("depfuzz-repro v8\n", 0), 0u);
   ReproCase back;
   std::string error;
   ASSERT_TRUE(parse_repro(back, text, &error)) << error;
 
   EXPECT_EQ(back.note, original.note);
-  EXPECT_EQ(back.cfg.storage, original.cfg.storage);
-  EXPECT_EQ(back.cfg.slots, original.cfg.slots);
-  EXPECT_EQ(back.cfg.sig_hash, original.cfg.sig_hash);
-  EXPECT_EQ(back.cfg.mt_targets, original.cfg.mt_targets);
-  EXPECT_EQ(back.cfg.workers, original.cfg.workers);
-  EXPECT_EQ(back.cfg.queue, original.cfg.queue);
-  EXPECT_EQ(back.cfg.wait, original.cfg.wait);
-  EXPECT_EQ(back.cfg.chunk_size, original.cfg.chunk_size);
-  EXPECT_EQ(back.cfg.queue_capacity, original.cfg.queue_capacity);
-  EXPECT_EQ(back.cfg.modulo_routing, original.cfg.modulo_routing);
-  EXPECT_EQ(back.cfg.batched_detect, original.cfg.batched_detect);
-  EXPECT_EQ(back.cfg.dedup, original.cfg.dedup);
-  EXPECT_EQ(back.cfg.pack, original.cfg.pack);
-  EXPECT_DOUBLE_EQ(back.cfg.budget, original.cfg.budget);
-  EXPECT_EQ(back.cfg.sampling_burst, original.cfg.sampling_burst);
-  EXPECT_EQ(back.cfg.sampling_skip, original.cfg.sampling_skip);
-  EXPECT_EQ(back.cfg.load_balance.enabled, original.cfg.load_balance.enabled);
-  EXPECT_EQ(back.cfg.load_balance.eval_interval_chunks,
-            original.cfg.load_balance.eval_interval_chunks);
-  EXPECT_EQ(back.cfg.load_balance.top_k, original.cfg.load_balance.top_k);
-  ASSERT_EQ(back.trace.size(), original.trace.size());
+  expect_same_config(back.cfg, original.cfg);
+  expect_same_events(back.trace, original.trace);
   const AccessEvent& ev = back.trace.events[0];
   EXPECT_EQ(ev.addr, 0xabc0u);
   EXPECT_EQ(ev.ts, 99u);
@@ -641,14 +699,12 @@ TEST(Corpus, FormatParseRoundTrip) {
   EXPECT_TRUE(back.trace.events[1].is_free());
 }
 
-TEST(Corpus, V3NestDirectivesRebuildChains) {
+TEST(Corpus, NestDirectivesRebuildChains) {
   const std::string text =
-      "depfuzz-repro v3\n"
-      "config storage=perfect dedup=0 pack=0\n"
-      "nest id=1 parent=0 loop=50\n"
-      "nest id=2 parent=1 loop=60\n"
-      "ev W addr=0x100 loc=11 ctx=2 iters=3,4,0,0,0,0,0\n"
-      "ev R addr=0x100 loc=12 ctx=1 iters=3,0,0,0,0,0,0\n";
+      v8("nest id=1 parent=0 loop=50\n"
+         "nest id=2 parent=1 loop=60\n"
+         "ev W addr=0x100 loc=11 ctx=2 iters=3,4,0,0,0,0,0\n"
+         "ev R addr=0x100 loc=12 ctx=1 iters=3,0,0,0,0,0,0\n");
   ReproCase out;
   std::string error;
   ASSERT_TRUE(parse_repro(out, text, &error)) << error;
@@ -663,35 +719,18 @@ TEST(Corpus, V3NestDirectivesRebuildChains) {
   EXPECT_EQ(inner.iters[1], 4u);
 }
 
-TEST(Corpus, V3RejectsMalformedNests) {
+TEST(Corpus, RejectsMalformedNests) {
   ReproCase out;
   std::string error;
   // Undeclared parent.
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v3\n"
-                           "config storage=perfect dedup=0 pack=0\n"
-                           "nest id=2 parent=1 loop=60\n",
-                           &error));
+  EXPECT_FALSE(parse_repro(out, v8("nest id=2 parent=1 loop=60\n"), &error));
   // Duplicate id.
   EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v3\n"
-                           "config storage=perfect dedup=0 pack=0\n"
-                           "nest id=1 parent=0 loop=50\n"
-                           "nest id=1 parent=0 loop=60\n",
+                           v8("nest id=1 parent=0 loop=50\n"
+                              "nest id=1 parent=0 loop=60\n"),
                            &error));
   // Event referencing an undeclared context.
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v3\n"
-                           "config storage=perfect dedup=0 pack=0\n"
-                           "ev W addr=0x1 ctx=7\n",
-                           &error));
-  // nest directive is v3-only.
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v2\n"
-                           "config storage=perfect dedup=0 pack=0\n"
-                           "nest id=1 parent=0 loop=50\n",
-                           &error));
-  EXPECT_NE(error.find("v3"), std::string::npos);
+  EXPECT_FALSE(parse_repro(out, v8("ev W addr=0x1 ctx=7\n"), &error));
 }
 
 TEST(Corpus, RejectsContradictoryAncestorIterations) {
@@ -700,224 +739,137 @@ TEST(Corpus, RejectsContradictoryAncestorIterations) {
   // claiming outer iteration 5 cannot come from one loop stack.
   ReproCase out;
   std::string error;
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v3\n"
-                           "config storage=perfect dedup=0 pack=0\n"
-                           "nest id=1 parent=0 loop=50\n"
-                           "nest id=2 parent=1 loop=60\n"
-                           "ev W addr=0x100 loc=11 ctx=2 iters=3,4,0,0,0,0,0\n"
-                           "ev R addr=0x100 loc=12 ctx=2 iters=5,4,0,0,0,0,0\n",
-                           &error));
-  EXPECT_NE(error.find("line 6"), std::string::npos) << error;
+  const std::string nest =
+      "nest id=1 parent=0 loop=50\n"
+      "nest id=2 parent=1 loop=60\n"
+      "nest id=3 parent=2 loop=70\n";
+  const std::string first = "ev W addr=0x100 loc=11 ctx=2 iters=3,4,0,0,0,0,0\n";
+  EXPECT_FALSE(parse_repro(
+      out, v8(nest + first + "ev R addr=0x100 loc=12 ctx=2 iters=5,4,0,0,0,0,0\n"),
+      &error));
+  EXPECT_NE(error.find("line 8"), std::string::npos) << error;
   // The same contradiction reached through a descendant entry.
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v3\n"
-                           "config storage=perfect dedup=0 pack=0\n"
-                           "nest id=1 parent=0 loop=50\n"
-                           "nest id=2 parent=1 loop=60\n"
-                           "nest id=3 parent=2 loop=70\n"
-                           "ev W addr=0x100 loc=11 ctx=2 iters=3,4,0,0,0,0,0\n"
-                           "ev R addr=0x100 loc=12 ctx=3 iters=1,4,2,0,0,0,0\n",
-                           &error));
-  EXPECT_NE(error.find("line 7"), std::string::npos) << error;
+  EXPECT_FALSE(parse_repro(
+      out, v8(nest + first + "ev R addr=0x100 loc=12 ctx=3 iters=1,4,2,0,0,0,0\n"),
+      &error));
+  EXPECT_NE(error.find("line 8"), std::string::npos) << error;
   // Consistent ancestors parse, and the derived entry iterations land in
   // the forest.
-  ASSERT_TRUE(parse_repro(out,
-                          "depfuzz-repro v3\n"
-                          "config storage=perfect dedup=0 pack=0\n"
-                          "nest id=1 parent=0 loop=50\n"
-                          "nest id=2 parent=1 loop=60\n"
-                          "nest id=3 parent=2 loop=70\n"
-                          "ev W addr=0x100 loc=11 ctx=2 iters=3,4,0,0,0,0,0\n"
-                          "ev R addr=0x100 loc=12 ctx=3 iters=3,4,2,0,0,0,0\n",
-                          &error))
+  ASSERT_TRUE(parse_repro(
+      out, v8(nest + first + "ev R addr=0x100 loc=12 ctx=3 iters=3,4,2,0,0,0,0\n"),
+      &error))
       << error;
   const NestForest& forest = nest_forest();
   EXPECT_EQ(forest.entry_iter(out.trace.events[1].ctx), 4u);
   EXPECT_EQ(forest.entry_iter(out.trace.events[0].ctx), 3u);
 }
 
-TEST(Corpus, LegacyLoopsTriplesReinternAsNestChains) {
-  // v2 events carried three innermost-first (loop, entry, iter) triples.
-  // They must still parse, re-interned into an equivalent nest chain: same
-  // entry triple -> same node, different entry -> sibling node.
-  const std::string text =
-      "depfuzz-repro v2\n"
-      "config storage=perfect dedup=0 pack=0\n"
-      "ev W addr=0x100 loc=11 loops=60:1:2,50:1:3,0:0:0\n"
-      "ev R addr=0x100 loc=12 loops=60:1:4,50:1:3,0:0:0\n"
-      "ev R addr=0x100 loc=13 loops=60:2:0,50:1:3,0:0:0\n";
-  ReproCase out;
-  std::string error;
-  ASSERT_TRUE(parse_repro(out, text, &error)) << error;
-  ASSERT_EQ(out.trace.size(), 3u);
-  const NestForest& forest = nest_forest();
-  const AccessEvent& a = out.trace.events[0];
-  const AccessEvent& b = out.trace.events[1];
-  const AccessEvent& c = out.trace.events[2];
-  // Triples are innermost-first: loop 50 is the outer level.
-  EXPECT_EQ(forest.depth(a.ctx), 2u);
-  EXPECT_EQ(forest.loop(a.ctx), 60u);
-  EXPECT_EQ(forest.loop(forest.parent(a.ctx)), 50u);
-  // iters become root-anchored: outer first.
-  EXPECT_EQ(a.iters[0], 3u);
-  EXPECT_EQ(a.iters[1], 2u);
-  // Same (loop, entry) chain -> same interned node.
-  EXPECT_EQ(a.ctx, b.ctx);
-  // Different inner entry -> sibling node under the same parent.
-  EXPECT_NE(c.ctx, a.ctx);
-  EXPECT_EQ(forest.parent(c.ctx), forest.parent(a.ctx));
-}
-
 TEST(Corpus, StrictParserRejectsUnknownInput) {
   ReproCase out;
   std::string error;
+  ASSERT_TRUE(parse_repro(out, v8(), &error)) << error;
   EXPECT_FALSE(parse_repro(out, "", &error));
   EXPECT_FALSE(parse_repro(out, "something else\n", &error));
+  EXPECT_NE(error.find("line 1: expected version line 'depfuzz-repro v8'"),
+            std::string::npos)
+      << error;
+  // One grammar: every earlier version line is rejected, not upgraded.
+  for (int v = 1; v <= 7; ++v) {
+    const std::string old = "depfuzz-repro v" + std::to_string(v);
+    std::string text = v8();
+    text.replace(0, text.find('\n'), old);
+    EXPECT_FALSE(parse_repro(out, text, &error)) << old;
+    EXPECT_NE(error.find("line 1: expected version line"), std::string::npos)
+        << old << ": " << error;
+  }
+  EXPECT_FALSE(parse_repro(out, v8("frobnicate 1\n"), &error));
+  EXPECT_NE(error.find("line 4: unknown directive 'frobnicate'"),
+            std::string::npos)
+      << error;
+  // Unknown config keys — including the retired kernel and chunk-encoding
+  // switches, which no longer select anything.
+  for (const std::string token : {"bogus_key=1", "pack=1", "pack=0",
+                                   "batch=1"}) {
+    const std::string cfg = edit_key(kConfigLine, "dedup", "dedup=0 " + token);
+    EXPECT_FALSE(parse_repro(out, v8("", cfg), &error)) << token;
+    EXPECT_NE(error.find("line 2: bad config token '" + token + "'"),
+              std::string::npos)
+        << error;
+  }
   EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v1\nconfig storage=perfect\nfrobnicate 1\n",
+      out, v8("", edit_key(kConfigLine, "storage", "storage=warehouse")),
       &error));
-  EXPECT_NE(error.find("frobnicate"), std::string::npos);
-  EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v1\nconfig storage=perfect bogus_key=1\n", &error));
-  EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v1\nconfig storage=warehouse\n", &error));
-  EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v1\nconfig storage=perfect\nev X addr=0x1\n",
-      &error));
-  // Missing the config line entirely.
-  EXPECT_FALSE(parse_repro(out, "depfuzz-repro v1\nnote hi\n", &error));
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  EXPECT_FALSE(parse_repro(out, v8("ev X addr=0x1\n"), &error));
+  EXPECT_NE(error.find("line 4"), std::string::npos) << error;
+  // The pre-nest-table (loop, entry, iter) triples are gone too.
+  EXPECT_FALSE(
+      parse_repro(out, v8("ev W addr=0x1 loops=0:0:0,0:0:0,0:0:0\n"), &error));
+  EXPECT_NE(error.find("line 4: bad event token 'loops="), std::string::npos)
+      << error;
+  // Missing the config or lb line entirely.
+  EXPECT_FALSE(parse_repro(out, "depfuzz-repro v8\nnote hi\n", &error));
+  EXPECT_NE(error.find("missing config line"), std::string::npos) << error;
+  EXPECT_FALSE(
+      parse_repro(out, "depfuzz-repro v8\n" + kConfigLine + "\n", &error));
+  EXPECT_NE(error.find("missing lb line"), std::string::npos) << error;
 }
 
-TEST(Corpus, VersionedFrontEndReductionKeys) {
+TEST(Corpus, EveryConfigAndLbKeyIsHardRequired) {
+  // A repro that omitted a key would silently replay under whatever the
+  // current default is — so every key the writer emits is required.
   ReproCase out;
   std::string error;
-  // v2 hard-requires both front-end reduction keys: a repro omitting them
-  // would silently replay under whatever the current defaults are.
-  EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v2\nconfig storage=perfect\n", &error));
-  EXPECT_NE(error.find("dedup"), std::string::npos);
-  EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v2\nconfig storage=perfect dedup=1\n", &error));
-  EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v2\nconfig storage=perfect pack=0\n", &error));
-  ASSERT_TRUE(parse_repro(
-      out, "depfuzz-repro v2\nconfig storage=perfect dedup=1 pack=0\n",
-      &error))
-      << error;
-  EXPECT_TRUE(out.cfg.dedup);
-  EXPECT_FALSE(out.cfg.pack);
-  // v1 predates the axes: the keys are unknown there, and an old corpus
-  // file parses with both off — the semantics it was recorded under.
-  EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v1\nconfig storage=perfect dedup=1 pack=1\n",
-      &error));
-  ASSERT_TRUE(
-      parse_repro(out, "depfuzz-repro v1\nconfig storage=perfect\n", &error))
-      << error;
-  EXPECT_FALSE(out.cfg.dedup);
-  EXPECT_FALSE(out.cfg.pack);
-  // format_repro writes the lowest version whose grammar covers the case;
-  // sample_repro has non-default sampling, which forces v5 with every
-  // hard-required key present.
-  const std::string text = format_repro(sample_repro());
-  EXPECT_NE(text.find("depfuzz-repro v5"), std::string::npos);
-  EXPECT_NE(text.find("dedup="), std::string::npos);
-  EXPECT_NE(text.find("pack="), std::string::npos);
-  EXPECT_NE(text.find("budget="), std::string::npos);
-  EXPECT_NE(text.find("burst="), std::string::npos);
-  EXPECT_NE(text.find("skip="), std::string::npos);
-  EXPECT_NE(text.find("nest id=1"), std::string::npos);
+  for (const char* key :
+       {"storage", "slots", "sighash", "mt", "workers", "queue", "wait",
+        "chunk", "qcap", "modulo_routing", "dedup", "budget", "burst", "skip",
+        "races"}) {
+    EXPECT_FALSE(parse_repro(out, v8("", edit_key(kConfigLine, key, "")),
+                             &error))
+        << key;
+    EXPECT_NE(error.find("line 2: config line missing the " +
+                         std::string(key) + "= key"),
+              std::string::npos)
+        << error;
+  }
+  for (const char* key : {"enabled", "sample_shift", "interval", "threshold",
+                          "top_k", "max_rounds"}) {
+    const std::string text = "depfuzz-repro v8\n" + kConfigLine + "\n" +
+                             edit_key(kLbLine, key, "") + "\n";
+    EXPECT_FALSE(parse_repro(out, text, &error)) << key;
+    EXPECT_NE(error.find("line 3: lb line missing the " + std::string(key) +
+                         "= key"),
+              std::string::npos)
+        << error;
+  }
 }
 
-TEST(Corpus, V5SamplingKeysHardRequired) {
+TEST(Corpus, RaceModeConfigRule) {
   ReproCase out;
   std::string error;
-  // v5 hard-requires the sampling axes, for the same reason v2 hard-required
-  // dedup=/pack=: omitting them would silently replay under the defaults.
-  EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v5\nconfig storage=perfect dedup=0 pack=0\n",
-      &error));
-  EXPECT_NE(error.find("budget"), std::string::npos);
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v5\nconfig storage=perfect dedup=0 "
-                           "pack=0 budget=0.5 burst=4\n",
-                           &error));
-  ASSERT_TRUE(parse_repro(out,
-                          "depfuzz-repro v5\nconfig storage=perfect dedup=0 "
-                          "pack=0 budget=0.5 burst=4 skip=3\n",
-                          &error))
-      << error;
-  EXPECT_DOUBLE_EQ(out.cfg.budget, 0.5);
-  EXPECT_EQ(out.cfg.sampling_burst, 4u);
-  EXPECT_EQ(out.cfg.sampling_skip, 3u);
-  // Below v5 the sampling keys are unknown, and older files replay with
-  // sampling off — the semantics they were recorded under.
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v4\nconfig storage=perfect dedup=0 "
-                           "pack=0 budget=0.5 burst=4 skip=3\n",
-                           &error));
-  ASSERT_TRUE(parse_repro(
-      out, "depfuzz-repro v4\nconfig storage=perfect dedup=0 pack=0\n",
-      &error))
-      << error;
-  EXPECT_DOUBLE_EQ(out.cfg.budget, 1.0);
-  EXPECT_EQ(out.cfg.sampling_skip, 0u);
-}
-
-TEST(Corpus, V6RaceModeKeyAndConfigRule) {
-  ReproCase out;
-  std::string error;
-  // v6 hard-requires the races= key: a repro omitting it would silently
-  // replay under whatever the current race-mode default is.
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v6\nconfig storage=perfect dedup=0 "
-                           "pack=0 budget=1 burst=8 skip=0 mt=1\n",
-                           &error));
-  EXPECT_NE(error.find("races"), std::string::npos);
-  ASSERT_TRUE(parse_repro(out,
-                          "depfuzz-repro v6\nconfig storage=perfect dedup=0 "
-                          "pack=0 budget=1 burst=8 skip=0 mt=1 races=1\n",
-                          &error))
-      << error;
+  std::string cfg = edit_key(edit_key(kConfigLine, "mt", "mt=1"), "races",
+                             "races=1");
+  ASSERT_TRUE(parse_repro(out, v8("", cfg), &error)) << error;
   EXPECT_TRUE(out.cfg.races);
   // The config rule mirrors races_config_ok(): race mode with sampling or
   // a sequential target could never have been recorded, so it must not
   // lint clean.
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v6\nconfig storage=perfect dedup=0 "
-                           "pack=0 budget=0.5 burst=8 skip=0 mt=1 races=1\n",
-                           &error));
-  EXPECT_NE(error.find("races=1"), std::string::npos);
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v6\nconfig storage=perfect dedup=0 "
-                           "pack=0 budget=1 burst=8 skip=4 mt=1 races=1\n",
-                           &error));
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v6\nconfig storage=perfect dedup=0 "
-                           "pack=0 budget=1 burst=8 skip=0 mt=0 races=1\n",
-                           &error));
+  EXPECT_FALSE(
+      parse_repro(out, v8("", edit_key(cfg, "budget", "budget=0.5")), &error));
+  EXPECT_NE(error.find("line 2: races=1"), std::string::npos) << error;
+  EXPECT_FALSE(
+      parse_repro(out, v8("", edit_key(cfg, "skip", "skip=4")), &error));
+  EXPECT_FALSE(parse_repro(out, v8("", edit_key(cfg, "mt", "mt=0")), &error));
   // races=0 carries no preconditions.
-  ASSERT_TRUE(parse_repro(out,
-                          "depfuzz-repro v6\nconfig storage=perfect dedup=0 "
-                          "pack=0 budget=0.5 burst=8 skip=4 mt=0 races=0\n",
-                          &error))
-      << error;
+  cfg = edit_key(edit_key(kConfigLine, "budget", "budget=0.5"), "skip",
+                 "skip=4");
+  ASSERT_TRUE(parse_repro(out, v8("", cfg), &error)) << error;
   EXPECT_FALSE(out.cfg.races);
-  // Below v6 the key is unknown, and older files replay with race mode off.
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v5\nconfig storage=perfect dedup=0 "
-                           "pack=0 budget=1 burst=8 skip=0 mt=1 races=1\n",
-                           &error));
-  ASSERT_TRUE(parse_repro(out,
-                          "depfuzz-repro v5\nconfig storage=perfect dedup=0 "
-                          "pack=0 budget=1 burst=8 skip=0 mt=1\n",
-                          &error))
-      << error;
-  EXPECT_FALSE(out.cfg.races);
+  EXPECT_DOUBLE_EQ(out.cfg.budget, 0.5);
+  EXPECT_EQ(out.cfg.sampling_skip, 4u);
 }
 
-TEST(Corpus, RaceModeRoundTripsAtV6) {
+TEST(Corpus, RaceModeRoundTrips) {
   ReproCase r = sample_repro();
   r.cfg.races = true;
   r.cfg.budget = 1.0;  // race mode forbids sampling...
@@ -925,65 +877,25 @@ TEST(Corpus, RaceModeRoundTripsAtV6) {
   r.cfg.sampling_skip = 0;
   ASSERT_TRUE(r.cfg.mt_targets);  // ...and needs MT targets
   const std::string text = format_repro(r);
-  EXPECT_NE(text.find("depfuzz-repro v6"), std::string::npos);
-  // v6 inherits v5's hard-required sampling keys even when unsampled.
-  EXPECT_NE(text.find("budget="), std::string::npos);
   EXPECT_NE(text.find("races=1"), std::string::npos);
   ReproCase back;
   std::string error;
   ASSERT_TRUE(parse_repro(back, text, &error)) << error;
-  EXPECT_TRUE(back.cfg.races);
-  EXPECT_TRUE(back.cfg.mt_targets);
-  EXPECT_DOUBLE_EQ(back.cfg.budget, 1.0);
-  ASSERT_EQ(back.trace.size(), r.trace.size());
+  expect_same_config(back.cfg, r.cfg);
+  expect_same_events(back.trace, r.trace);
 }
 
-TEST(Corpus, V7PackedStorageVersionGated) {
-  ReproCase out;
-  std::string error;
-  // Below v7 "packed" is an unknown storage value: a repro recorded against
-  // the packed backend must not silently replay as some other backend under
-  // an old grammar.
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v6\nconfig storage=packed dedup=0 "
-                           "pack=0 budget=1 burst=8 skip=0 races=0\n",
-                           &error));
-  EXPECT_NE(error.find("storage=packed"), std::string::npos);
-  // v7 accepts it and inherits every v5/v6 hard-required key.
-  EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v7\nconfig storage=packed dedup=0 pack=0\n",
-      &error));
-  EXPECT_NE(error.find("budget"), std::string::npos);
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v7\nconfig storage=packed dedup=0 "
-                           "pack=0 budget=1 burst=8 skip=0\n",
-                           &error));
-  EXPECT_NE(error.find("races"), std::string::npos);
-  ASSERT_TRUE(parse_repro(out,
-                          "depfuzz-repro v7\nconfig storage=packed dedup=0 "
-                          "pack=0 budget=1 burst=8 skip=0 races=0\n",
-                          &error))
-      << error;
-  EXPECT_EQ(out.cfg.storage, StorageKind::kPacked);
-}
-
-TEST(Corpus, PackedStorageRoundTripsAtV7) {
+TEST(Corpus, PackedStorageRoundTrips) {
   ReproCase r = sample_repro();
   r.cfg.storage = StorageKind::kPacked;
   const std::string text = format_repro(r);
-  EXPECT_NE(text.find("depfuzz-repro v7"), std::string::npos);
   EXPECT_NE(text.find("storage=packed"), std::string::npos);
-  // v7 spells out the sampling and race axes even when the run neither
-  // sampled nor raced (sample_repro samples; races stays 0 here).
-  EXPECT_NE(text.find("budget="), std::string::npos);
-  EXPECT_NE(text.find("races=0"), std::string::npos);
   ReproCase back;
   std::string error;
   ASSERT_TRUE(parse_repro(back, text, &error)) << error;
   EXPECT_EQ(back.cfg.storage, StorageKind::kPacked);
-  EXPECT_FALSE(back.cfg.races);
-  EXPECT_DOUBLE_EQ(back.cfg.budget, r.cfg.budget);
-  ASSERT_EQ(back.trace.size(), r.trace.size());
+  expect_same_config(back.cfg, r.cfg);
+  expect_same_events(back.trace, r.trace);
 }
 
 TEST(Corpus, StrictParserRejectsAmbiguousShape) {
@@ -991,51 +903,34 @@ TEST(Corpus, StrictParserRejectsAmbiguousShape) {
   std::string error;
   // A duplicate key within one line would silently last-write-win.
   EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v1\nconfig storage=perfect storage=shadow\n",
-      &error));
+      out, v8("", kConfigLine + " storage=shadow"), &error));
   EXPECT_NE(error.find("duplicate key 'storage'"), std::string::npos);
   EXPECT_NE(error.find("line 2"), std::string::npos);
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v1\nconfig storage=perfect\n"
-                           "ev W addr=0x1 addr=0x2\n",
-                           &error));
+  EXPECT_FALSE(parse_repro(out, v8("ev W addr=0x1 addr=0x2\n"), &error));
   EXPECT_NE(error.find("duplicate key 'addr'"), std::string::npos);
-  EXPECT_NE(error.find("line 3"), std::string::npos);
+  EXPECT_NE(error.find("line 4"), std::string::npos);
   // A second config (or lb) line would retroactively rewrite the first.
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v1\nconfig storage=perfect\n"
-                           "config storage=shadow\n",
-                           &error));
-  EXPECT_NE(error.find("duplicate config line"), std::string::npos);
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v1\nconfig storage=perfect\n"
-                           "lb enabled=0\nlb enabled=1\n",
-                           &error));
-  EXPECT_NE(error.find("duplicate lb line"), std::string::npos);
+  EXPECT_FALSE(parse_repro(out, v8(kConfigLine + "\n"), &error));
+  EXPECT_NE(error.find("line 4: duplicate config line"), std::string::npos)
+      << error;
+  EXPECT_FALSE(parse_repro(out, v8(kLbLine + "\n"), &error));
+  EXPECT_NE(error.find("line 4: duplicate lb line"), std::string::npos)
+      << error;
   // Every directive except the provenance note needs the config line first.
   EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v1\nev W addr=0x1\nconfig storage=perfect\n",
-      &error));
+      out, "depfuzz-repro v8\nev W addr=0x1\n" + kConfigLine + "\n", &error));
   EXPECT_NE(error.find("before the config line"), std::string::npos);
   EXPECT_NE(error.find("line 2"), std::string::npos);
   EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v3\nnest id=1 parent=0 loop=5\n"
-                           "config storage=perfect dedup=0 pack=0\n",
+                           "depfuzz-repro v8\nnest id=1 parent=0 loop=5\n" +
+                               kConfigLine + "\n",
                            &error));
   EXPECT_NE(error.find("before the config line"), std::string::npos);
   // nest directives must carry parent= and loop= explicitly: a defaulted
   // value would silently re-shape the nest.
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v3\n"
-                           "config storage=perfect dedup=0 pack=0\n"
-                           "nest id=1 loop=5\n",
-                           &error));
+  EXPECT_FALSE(parse_repro(out, v8("nest id=1 loop=5\n"), &error));
   EXPECT_NE(error.find("parent="), std::string::npos);
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v3\n"
-                           "config storage=perfect dedup=0 pack=0\n"
-                           "nest id=1 parent=0\n",
-                           &error));
+  EXPECT_FALSE(parse_repro(out, v8("nest id=1 parent=0\n"), &error));
   EXPECT_NE(error.find("loop="), std::string::npos);
 }
 
@@ -1056,6 +951,30 @@ TEST(Corpus, EveryCommittedReproReplaysClean) {
                             << outcome.detail;
   }
   EXPECT_GE(seen, 3u);  // the hand-written seeds must stay present
+}
+
+TEST(Corpus, EveryCommittedReproRoundTrips) {
+  // parse -> format -> parse must give back the same config and events, so
+  // a shrunk repro written by depfuzz replays exactly what it was shrunk on.
+  const std::filesystem::path dir = DEPFUZZ_CORPUS_DIR;
+  std::size_t seen = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".repro") continue;
+    ++seen;
+    ReproCase first, second;
+    std::string error;
+    ASSERT_TRUE(read_repro(first, entry.path().string(), &error))
+        << entry.path() << ": " << error;
+    const std::string text = format_repro(first);
+    ASSERT_TRUE(parse_repro(second, text, &error))
+        << entry.path() << ": " << error;
+    SCOPED_TRACE(entry.path().string());
+    EXPECT_EQ(second.note, first.note);
+    expect_same_config(second.cfg, first.cfg);
+    expect_same_events(second.trace, first.trace);
+    EXPECT_EQ(format_repro(second), text);
+  }
+  EXPECT_GE(seen, 4u);
 }
 
 }  // namespace

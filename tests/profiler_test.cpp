@@ -13,8 +13,11 @@
 #include <sched.h>
 #endif
 
+#include "common/hash.hpp"
+#include "core/detector.hpp"
 #include "core/formatter.hpp"
 #include "core/profiler.hpp"
+#include "core/store_factory.hpp"
 #include "harness/accuracy.hpp"
 #include "instrument/dedup.hpp"
 #include "oracle/harness.hpp"
@@ -35,6 +38,22 @@ DepMap run_parallel(const Trace& t, const ProfilerConfig& cfg) {
   auto p = make_parallel_profiler(cfg);
   replay(t, *p);
   return p->take_dependences();
+}
+
+/// Per-event reference: Algorithm 1 one event at a time through
+/// DetectorCore::process, on the canonical word units both profilers hand
+/// their detect stage.  The profilers always run the batched kernel
+/// (process_batch), so this is the map that kernel must reproduce.
+DepMap run_per_event(const Trace& t, const ProfilerConfig& cfg) {
+  return with_store(cfg, [&]<typename Store>(std::type_identity<Store>) {
+    DetectorCore<Store> core(make_store<Store>(cfg), make_store<Store>(cfg));
+    DepMap deps;
+    for (AccessEvent ev : t.events) {
+      ev.addr = word_addr(ev.addr);
+      core.process(ev, deps);
+    }
+    return deps;
+  });
 }
 
 bool same_deps(const DepMap& a, const DepMap& b) {
@@ -178,8 +197,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Oversubscription axis (ISSUE 7): eight workers plus the producer pinned
 // to at most two CPUs, so the kernel preempts pipeline threads mid-hand-off
-// constantly — the regime where the unpacked cross-attribution flake lived.
-// Covers both the packed and unpacked staging paths.
+// constantly — the regime where the cross-attribution flake lived.
 TEST(SerialParallelEquivalence, OversubscribedWorkersMatchSerial) {
 #if defined(__linux__)
   cpu_set_t saved;
@@ -202,17 +220,12 @@ TEST(SerialParallelEquivalence, OversubscribedWorkersMatchSerial) {
   const DepMap serial = run_serial(t, cfg);
   cfg.workers = 8;
   cfg.chunk_size = 64;
-  cfg.pack = false;
-  const DepMap unpacked = run_parallel(t, cfg);
-  cfg.pack = true;
-  const DepMap packed = run_parallel(t, cfg);
+  const DepMap parallel = run_parallel(t, cfg);
 
   sched_setaffinity(0, sizeof(saved), &saved);  // before any EXPECT fires
 
-  EXPECT_TRUE(same_deps(serial, unpacked)) << "unpacked staging, workers=8";
-  EXPECT_EQ(serial.instances(), unpacked.instances());
-  EXPECT_TRUE(same_deps(serial, packed)) << "packed staging, workers=8";
-  EXPECT_EQ(serial.instances(), packed.instances());
+  EXPECT_TRUE(same_deps(serial, parallel)) << "workers=8";
+  EXPECT_EQ(serial.instances(), parallel.instances());
 #else
   GTEST_SKIP() << "CPU affinity is Linux-only";
 #endif
@@ -321,25 +334,16 @@ TEST(SerialProfiler, BatchedKernelCountersTrack) {
   p.accesses = 5'000;
   p.distinct = 200;
   const Trace t = gen_uniform(p);
-  ProfilerConfig cfg = perfect_cfg();
-
-  cfg.batched_detect = true;
-  auto batched = make_serial_profiler(cfg);
-  replay(t, *batched);
-  const obs::StageSnapshot* d = batched->stats().stages.find("detect[0]");
+  auto prof = make_serial_profiler(perfect_cfg());
+  replay(t, *prof);
+  // Hold the stats by value: find() points into its snapshot.
+  const ProfilerStats st = prof->stats();
+  const obs::StageSnapshot* d = st.stages.find("detect[0]");
   ASSERT_NE(d, nullptr);
   EXPECT_GT(d->kernel_batches, 0u);
   EXPECT_GT(d->prefetches, 0u);
   // K events ahead within each batch: never more prefetches than events.
   EXPECT_LE(d->prefetches, 5'000u);
-
-  cfg.batched_detect = false;
-  auto per_event = make_serial_profiler(cfg);
-  replay(t, *per_event);
-  const obs::StageSnapshot* e = per_event->stats().stages.find("detect[0]");
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->kernel_batches, 0u);
-  EXPECT_EQ(e->prefetches, 0u);
 }
 
 TEST(ParallelProfiler, FinishIsIdempotent) {
@@ -398,65 +402,48 @@ TEST_P(BackendQueueEquivalence, ByteIdenticalMergedMaps) {
   // address span is far below this slot count, so modulo indexing is
   // injective for every store.
   cfg.slots = 1u << 18;
-  cfg.batched_detect = false;
   const DepMap serial = run_serial(t, cfg);
 
   // The batched kernel is a pure reorganization of the detect loop: the
-  // serial batched run must already reproduce the per-event map byte for
-  // byte before the parallel matrix gets involved.
-  cfg.batched_detect = true;
-  EXPECT_EQ(deps_csv(serial), deps_csv(run_serial(t, cfg)))
+  // serial (batched) run must already reproduce the per-event reference
+  // byte for byte before the parallel matrix gets involved.
+  EXPECT_EQ(deps_csv(run_per_event(t, cfg)), deps_csv(serial))
       << storage_kind_name(c.storage) << " serial batched != per-event";
 
   cfg.queue = c.queue;
   cfg.workers = 4;
   cfg.chunk_size = 128;
-  // Neither waiting nor the batched kernel is a semantics knob: every
-  // wait strategy × kernel combination must reproduce the byte-identical
-  // merged map.
-  for (bool batched : {false, true}) {
-    cfg.batched_detect = batched;
-    for (WaitKind wait : {WaitKind::kSpin, WaitKind::kYield, WaitKind::kPark}) {
-      cfg.wait = wait;
-      auto prof = make_parallel_profiler(cfg);
-      ASSERT_NE(prof, nullptr) << storage_kind_name(c.storage);
-      replay(t, *prof);
-      EXPECT_EQ(deps_csv(serial), deps_csv(prof->dependences()))
-          << storage_kind_name(c.storage) << " over "
-          << queue_kind_name(c.queue) << " wait=" << wait_kind_name(wait)
-          << " batched=" << batched;
-    }
+  // Waiting is not a semantics knob: every wait strategy must reproduce
+  // the byte-identical merged map.
+  for (WaitKind wait : {WaitKind::kSpin, WaitKind::kYield, WaitKind::kPark}) {
+    cfg.wait = wait;
+    auto prof = make_parallel_profiler(cfg);
+    ASSERT_NE(prof, nullptr) << storage_kind_name(c.storage);
+    replay(t, *prof);
+    EXPECT_EQ(deps_csv(serial), deps_csv(prof->dependences()))
+        << storage_kind_name(c.storage) << " over "
+        << queue_kind_name(c.queue) << " wait=" << wait_kind_name(wait);
   }
 
-  // Front-end reduction axes: the full dedup × pack lattice must reproduce
-  // the same merged map, with the deduplicated RLE stream feeding both
-  // profilers when dedup is on (the serial baseline above stays raw, so
-  // this also asserts dedup is map-preserving per backend and queue).
+  // Front-end reduction axis: the deduplicated RLE stream feeding both
+  // profilers must reproduce the same merged map (the serial baseline
+  // above stays raw, so this asserts dedup is map-preserving per backend
+  // and queue).
   const RleStream rle = dedup_stream(t.events.data(), t.events.size());
-  cfg.batched_detect = true;
   cfg.wait = WaitKind::kSpin;
-  for (bool dedup : {false, true}) {
-    for (bool pack : {false, true}) {
-      cfg.dedup = dedup;
-      cfg.pack = pack;
-      {
-        auto prof = make_serial_profiler(cfg);
-        if (dedup) replay_rle(rle, *prof);
-        else replay(t, *prof);
-        EXPECT_EQ(deps_csv(serial), deps_csv(prof->dependences()))
-            << storage_kind_name(c.storage) << " serial dedup=" << dedup
-            << " pack=" << pack;
-      }
-      auto prof = make_parallel_profiler(cfg);
-      ASSERT_NE(prof, nullptr) << storage_kind_name(c.storage);
-      if (dedup) replay_rle(rle, *prof);
-      else replay(t, *prof);
-      EXPECT_EQ(deps_csv(serial), deps_csv(prof->dependences()))
-          << storage_kind_name(c.storage) << " over "
-          << queue_kind_name(c.queue) << " dedup=" << dedup
-          << " pack=" << pack;
-    }
+  cfg.dedup = true;
+  {
+    auto prof = make_serial_profiler(cfg);
+    replay_rle(rle, *prof);
+    EXPECT_EQ(deps_csv(serial), deps_csv(prof->dependences()))
+        << storage_kind_name(c.storage) << " serial dedup";
   }
+  auto prof = make_parallel_profiler(cfg);
+  ASSERT_NE(prof, nullptr) << storage_kind_name(c.storage);
+  replay_rle(rle, *prof);
+  EXPECT_EQ(deps_csv(serial), deps_csv(prof->dependences()))
+      << storage_kind_name(c.storage) << " over " << queue_kind_name(c.queue)
+      << " dedup";
 }
 
 INSTANTIATE_TEST_SUITE_P(

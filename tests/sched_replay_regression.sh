@@ -2,8 +2,10 @@
 # Cross-attribution schedule-replay regression (PR 7).
 #
 # Replays the committed schedule tests/corpus/is_unpacked_w8_cross_attribution.sched
-# against `depprof run is --slots 337311 --parallel --workers 8 --no-pack`
-# and requires the dependence map to match the serial run byte for byte.
+# against `depprof run is --slots 337311 --parallel --workers 8` and
+# requires the dependence map to match the serial run byte for byte.  The
+# schedule was recorded with the packed chunk encoding switched off; raw-event
+# staging is now the only chunk format, so the replayed run is the same.
 #
 # Before the ChunkPool was sealed, this exact replay failed every run: the
 # schedule starves the workers so the producer's grow-on-demand pool runs
@@ -55,7 +57,7 @@ env -i DEPPROF_LAYOUT_DIAG=1 \
 
 env -i DEPPROF_LAYOUT_DIAG=1 DEPPROF_SCHED=1 DEPPROF_SCHED_SEED=10 \
   DEPPROF_SCHED_ALGO=pct DEPPROF_SCHED_REPLAY="$TMP/s.sched" \
-  $WRAP "$TMP/depprof" run is --slots 337311 --parallel --workers 8 --no-pack \
+  $WRAP "$TMP/depprof" run is --slots 337311 --parallel --workers 8 \
   --format csv > "$TMP/parallel.csv" 2> "$TMP/parallel.err"
 
 if ! cmp -s "$TMP/serial.csv" "$TMP/parallel.csv"; then

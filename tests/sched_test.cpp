@@ -1,6 +1,6 @@
-// Deterministic schedule exploration (ISSUE 7): the controller, the
-// ownership/epoch hand-off invariant, the sealed chunk pool, the v4 repro
-// format, and the schedule-shrinking rung.
+// Deterministic schedule exploration: the controller, the ownership/epoch
+// hand-off invariant, the sealed chunk pool, the repro sched section, and
+// the schedule-shrinking rung.
 //
 // The determinism tests run the real parallel pipeline on trace-based cases
 // (synthetic, fixed addresses), where recorded schedules are byte-stable:
@@ -31,12 +31,11 @@ Trace small_trace() {
   return gen_strided(p);
 }
 
-ProfilerConfig sched_cfg(unsigned workers, bool pack) {
+ProfilerConfig sched_cfg(unsigned workers) {
   ProfilerConfig cfg;
   cfg.storage = StorageKind::kPerfect;
   cfg.workers = workers;
   cfg.chunk_size = 16;
-  cfg.pack = pack;
   return cfg;
 }
 
@@ -56,7 +55,7 @@ TEST(ScheduleTraceTest, FormatParseRoundTrip) {
 
 TEST(SchedHarnessTest, RecordingIsDeterministicOnTraceCases) {
   const Trace trace = small_trace();
-  const ProfilerConfig cfg = sched_cfg(2, false);
+  const ProfilerConfig cfg = sched_cfg(2);
   SchedSpec spec;
   spec.seed = 7;
   spec.algo = sched::Algo::kRandomWalk;
@@ -72,7 +71,7 @@ TEST(SchedHarnessTest, RecordingIsDeterministicOnTraceCases) {
 
 TEST(SchedHarnessTest, SeedsDivergeAndReplayIsFaithful) {
   const Trace trace = small_trace();
-  const ProfilerConfig cfg = sched_cfg(2, true);
+  const ProfilerConfig cfg = sched_cfg(2);
   SchedSpec explore;
   explore.seed = 1;
   const CaseOutcome rec = run_case(trace, cfg, &explore);
@@ -95,7 +94,7 @@ TEST(SchedHarnessTest, SeedsDivergeAndReplayIsFaithful) {
 
 TEST(SchedHarnessTest, PctExplorationHoldsAtEightWorkers) {
   const Trace trace = small_trace();
-  const ProfilerConfig cfg = sched_cfg(8, false);
+  const ProfilerConfig cfg = sched_cfg(8);
   SchedSpec spec;
   spec.seed = 3;
   spec.algo = sched::Algo::kPct;
@@ -128,7 +127,7 @@ TEST(ChunkPoolTest, SealedAcquireBlocksInsteadOfAllocating) {
 TEST(ChunkPoolTest, RecycledChunkLeaksNoStaleHeader) {
   // Pool of one: the second acquire must hand back the same chunk, and
   // every header field a previous use could have dirtied must be reset —
-  // a stale `packed` flag would make the worker misparse the payload.
+  // a stale kind or fill level would make the worker misread the chunk.
   ChunkPool pool(1, 1, /*sealed=*/true, WaitKind::kSpin);
   Chunk* c = pool.acquire();
   const std::uint32_t gen_before = c->gen.load();
@@ -136,10 +135,6 @@ TEST(ChunkPoolTest, RecycledChunkLeaksNoStaleHeader) {
   c->count = 77;
   c->payload = 5;
   c->addr = 0xdeadbeef;
-  c->packed = true;
-  c->records = 13;
-  c->bytes = 4096;
-  c->payload_bytes()[0] = 0xAB;
   pool.release(c);
 
   Chunk* again = pool.acquire();
@@ -148,9 +143,6 @@ TEST(ChunkPoolTest, RecycledChunkLeaksNoStaleHeader) {
   EXPECT_EQ(again->count, 0u);
   EXPECT_EQ(again->payload, 0u);
   EXPECT_EQ(again->addr, 0u);
-  EXPECT_FALSE(again->packed);
-  EXPECT_EQ(again->records, 0u);
-  EXPECT_EQ(again->bytes, 0u);
   EXPECT_GT(again->gen.load(), gen_before) << "recycle bumps the epoch";
   pool.release(again);
 }
@@ -168,11 +160,10 @@ TEST(ChunkInvariantTest, WrongHandoffBumpsViolationCounter) {
   EXPECT_EQ(sched::violation_count(), before + 1);
 }
 
-TEST(ReproV4Test, SchedSectionRoundTrips) {
+TEST(ReproSchedTest, SchedSectionRoundTrips) {
   ReproCase repro;
   repro.note = "sched round trip";
   repro.cfg.workers = 8;
-  repro.cfg.pack = false;
   repro.sched = true;
   repro.sched_seed = 42;
   repro.sched_algo = sched::Algo::kPct;
@@ -185,7 +176,6 @@ TEST(ReproV4Test, SchedSectionRoundTrips) {
   repro.trace.events.push_back(ev);
 
   const std::string text = format_repro(repro);
-  EXPECT_NE(text.find("depfuzz-repro v4"), std::string::npos);
   EXPECT_NE(text.find("sched seed=42 algo=pct"), std::string::npos);
   EXPECT_NE(text.find("sstep w0 queue.pop"), std::string::npos);
 
@@ -200,39 +190,32 @@ TEST(ReproV4Test, SchedSectionRoundTrips) {
   EXPECT_EQ(back.schedule.steps[1].site, "produce.stage");
 }
 
-TEST(ReproV4Test, ScheduleFreeCasesStillWriteV3) {
+TEST(ReproSchedTest, ScheduleFreeCasesWriteNoSchedSection) {
   ReproCase repro;
   AccessEvent ev;
   ev.kind = AccessKind::kRead;
   ev.addr = 0x2000;
   repro.trace.events.push_back(ev);
   const std::string text = format_repro(repro);
-  EXPECT_NE(text.find("depfuzz-repro v3"), std::string::npos);
   EXPECT_EQ(text.find("sched"), std::string::npos);
   ReproCase back;
   ASSERT_TRUE(parse_repro(back, text));
   EXPECT_FALSE(back.sched);
 }
 
-TEST(ReproV4Test, LegacyVersionsRejectSchedDirectives) {
+TEST(ReproSchedTest, SstepBeforeSchedIsRejected) {
   std::string error;
   ReproCase out;
   EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v3\n"
+                           "depfuzz-repro v8\n"
                            "config storage=perfect slots=16 sighash=modulo "
                            "mt=0 workers=1 queue=mutex wait=spin chunk=1 "
-                           "qcap=4 modulo_routing=0 dedup=0 pack=0\n"
-                           "sched seed=1 algo=random\n",
-                           &error));
-  EXPECT_NE(error.find("requires v4"), std::string::npos) << error;
-  EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v4\n"
-                           "config storage=perfect slots=16 sighash=modulo "
-                           "mt=0 workers=1 queue=mutex wait=spin chunk=1 "
-                           "qcap=4 modulo_routing=0 dedup=0 pack=0\n"
+                           "qcap=4 modulo_routing=0 dedup=0 budget=1 "
+                           "burst=8 skip=0 races=0\n"
                            "sstep w0 queue.pop\n",
                            &error));
-  EXPECT_NE(error.find("before sched"), std::string::npos) << error;
+  EXPECT_NE(error.find("line 3: sstep before sched"), std::string::npos)
+      << error;
 }
 
 TEST(ShrinkScheduleTest, DropsScheduleWhenFailureIsScheduleFree) {

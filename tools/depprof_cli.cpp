@@ -25,17 +25,10 @@
 //   --wait spin|yield|park   pipeline wait strategy at the blocking sites
 //                        (idle workers, full queues, migration mailbox;
 //                        default park — see src/queue/wait_strategy.hpp)
-//   --batch / --no-batch run detection with the batched prefetching kernel
-//                        or the per-event kernel (default --batch; results
-//                        are byte-identical either way)
 //   --dedup / --no-dedup front-end redundancy elision: collapse exact access
 //                        repeats at record time (default --dedup; the merged
 //                        map is identical either way — see DESIGN.md
 //                        "Front-end event reduction")
-//   --pack / --no-pack   compact chunk encoding: carry accesses as 16-byte
-//                        delta records on the pipeline queues (default
-//                        --pack; parallel runs only — the serial profiler
-//                        has no queue to pack)
 //   --budget F           overhead-budget sampling: adapt the burst duty
 //                        cycle so profiling overhead tracks fraction F of
 //                        target runtime (0 < F < 1; default 1 = profile
@@ -156,18 +149,10 @@ bool parse(int argc, char** argv, int start, CliOptions& out) {
     } else if (arg == "--wait") {
       const char* v = next();
       if (v == nullptr || !parse_wait_kind(v, out.cfg.wait)) return false;
-    } else if (arg == "--batch") {
-      out.cfg.batched_detect = true;
-    } else if (arg == "--no-batch") {
-      out.cfg.batched_detect = false;
     } else if (arg == "--dedup") {
       out.cfg.dedup = true;
     } else if (arg == "--no-dedup") {
       out.cfg.dedup = false;
-    } else if (arg == "--pack") {
-      out.cfg.pack = true;
-    } else if (arg == "--no-pack") {
-      out.cfg.pack = false;
     } else if (arg == "--budget") {
       const char* v = next();
       if (v == nullptr) return false;
