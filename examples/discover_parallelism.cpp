@@ -11,6 +11,7 @@
 #include <cstring>
 
 #include "analysis/loop_parallelism.hpp"
+#include "analysis/report.hpp"
 #include "core/formatter.hpp"
 #include "harness/runner.hpp"
 #include "instrument/runtime.hpp"
@@ -52,7 +53,7 @@ int main(int argc, char** argv) {
   LoopAnalysisOptions aopts;
   aopts.reduction_lines = Runtime::instance().reduction_lines();
   const auto verdicts = analyze_loops(m.deps, m.control_flow, aopts);
-  std::fputs(format_loop_verdicts(verdicts).c_str(), stdout);
+  std::fputs(render_loop_report(verdicts, m.control_flow).c_str(), stdout);
 
   // Compare against the workload's ground truth if available.
   if (verdicts.size() == w->loops.size()) {

@@ -1,13 +1,14 @@
 // Tour of the Sec. VIII program-analysis framework: profile an instrumented
 // program with function markers, build the ProgramModel, and walk its
-// representations — call tree, loop table, dependence graph (with DOT
-// export), and the plugin registry.
+// representations — call tree, loop verdicts, dependence graph (with DOT
+// export), and the plugin table.
 //
 //   $ ./framework_tour
 
 #include <cstdio>
 #include <vector>
 
+#include "analysis/report.hpp"
 #include "core/profiler.hpp"
 #include "framework/plugin.hpp"
 #include "framework/program_model.hpp"
@@ -81,7 +82,9 @@ int main() {
   const ProgramModel model = ProgramModel::from_run(*profiler);
 
   std::printf("== call tree ==\n%s\n", model.call_tree().render().c_str());
-  std::printf("== loop table ==\n%s\n", model.loop_table().render().c_str());
+  std::printf("== loop verdicts ==\n%s\n",
+              render_loop_report(model.loop_verdicts(), model.control_flow())
+                  .c_str());
 
   const DepGraph& graph = model.dep_graph();
   std::printf("== dependence graph: %zu nodes, %zu edges, RAW cycle: %s ==\n\n",
@@ -90,9 +93,9 @@ int main() {
   std::printf("DOT (render with `dot -Tsvg`):\n%s\n", graph.to_dot().c_str());
 
   std::printf("== plugins ==\n");
-  for (AnalysisPlugin* plugin : PluginRegistry::instance().all()) {
-    std::printf("\n-- %s: %s --\n%s", plugin->name().c_str(),
-                plugin->description().c_str(), plugin->run(model).c_str());
+  for (const Plugin& plugin : plugins()) {
+    std::printf("\n-- %s: %s --\n%s", plugin.name, plugin.description,
+                plugin.run(model).c_str());
   }
   return 0;
 }

@@ -1,7 +1,6 @@
 #include "analysis/loop_parallelism.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 namespace depprof {
 namespace {
@@ -61,34 +60,6 @@ std::vector<LoopVerdict> analyze_loops(const DepMap& deps,
     verdicts.push_back(std::move(v));
   }
   return verdicts;
-}
-
-std::string format_loop_verdicts(const std::vector<LoopVerdict>& verdicts) {
-  std::ostringstream os;
-  for (const auto& v : verdicts) {
-    os << "loop " << SourceLocation::from_packed(v.loop.begin_loc).str() << "-"
-       << SourceLocation::from_packed(v.loop.end_loc).str() << " ("
-       << v.loop.iterations << " iterations): " << loop_verdict_name(v.kind)
-       << '\n';
-    for (const auto& b : v.blockers) {
-      os << "    blocked by carried RAW "
-         << SourceLocation::from_packed(b.sink_loc).str() << " <- "
-         << SourceLocation::from_packed(b.src_loc).str() << " ("
-         << var_registry().name(b.var) << ")\n";
-    }
-    for (const auto& r : v.reductions) {
-      os << "    reduction update at "
-         << SourceLocation::from_packed(r.sink_loc).str() << " ("
-         << var_registry().name(r.var) << ")\n";
-    }
-    for (const auto& p : v.privatizable) {
-      os << "    privatize " << var_registry().name(p.var) << " ("
-         << dep_type_name(p.type) << ' '
-         << SourceLocation::from_packed(p.sink_loc).str() << " <- "
-         << SourceLocation::from_packed(p.src_loc).str() << ")\n";
-    }
-  }
-  return os.str();
 }
 
 }  // namespace depprof

@@ -23,9 +23,9 @@
 // WAR/WAW dependences carried by L never block — they are removable by
 // privatization and are reported as the privatization work list.  Table II
 // compares this classification under perfect vs signature dependences.
+// report.hpp renders the verdicts.
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/dep.hpp"
@@ -64,8 +64,5 @@ struct LoopAnalysisOptions {
 std::vector<LoopVerdict> analyze_loops(const DepMap& deps,
                                        const ControlFlowLog& cf,
                                        const LoopAnalysisOptions& opts = {});
-
-/// Human-readable rendering.
-std::string format_loop_verdicts(const std::vector<LoopVerdict>& verdicts);
 
 }  // namespace depprof

@@ -32,7 +32,8 @@ void render_text_node(std::ostringstream& os, const LoopVerdict& v,
        << var_registry().name(r.var) << ")\n";
   for (const auto& p : v.privatizable)
     os << indent << "  privatize " << var_registry().name(p.var) << " ("
-       << dep_type_name(p.type) << ")\n";
+       << dep_type_name(p.type) << ' ' << loc_str(p.sink_loc) << " <- "
+       << loc_str(p.src_loc) << ")\n";
   for (std::uint32_t child : cf.children_of(v.loop.loop_id)) {
     const auto it = index.find(child);
     if (it == index.end() || !visited.insert(child).second) continue;
@@ -117,7 +118,7 @@ std::string render_loop_report(const std::vector<LoopVerdict>& verdicts,
 }
 
 ReportCheck check_verdicts(const std::vector<LoopVerdict>& verdicts,
-                           const std::vector<LoopExpectation>& truth) {
+                           const std::vector<LoopTruth>& truth) {
   ReportCheck out;
   out.total = static_cast<unsigned>(truth.size());
   if (verdicts.size() != truth.size()) {

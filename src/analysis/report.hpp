@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "analysis/loop_parallelism.hpp"
+#include "workloads/workload.hpp"
 
 namespace depprof {
 
@@ -28,13 +29,6 @@ std::string render_loop_report(const std::vector<LoopVerdict>& verdicts,
                                const ControlFlowLog& cf,
                                const ReportOptions& opts = {});
 
-/// Ground truth for one loop, index-aligned with the verdict order
-/// (ascending begin location — the order Workload::loops is declared in).
-struct LoopExpectation {
-  std::string label;
-  bool parallelizable = false;  ///< annotated parallel in the OpenMP version
-};
-
 struct ReportCheck {
   unsigned matched = 0;
   unsigned total = 0;
@@ -44,10 +38,12 @@ struct ReportCheck {
   bool ok() const { return mismatches.empty(); }
 };
 
-/// Scores verdicts against ground truth.  A loop counts as found
-/// parallelizable unless its verdict is serial — reduction-suspect loops
-/// are parallelizable after the reduction rewrite, matching Table II.
+/// Scores verdicts against ground truth, index-aligned with the verdict
+/// order (ascending begin location — the order Workload::loops is declared
+/// in).  A loop counts as found parallelizable unless its verdict is
+/// serial — reduction-suspect loops are parallelizable after the reduction
+/// rewrite, matching Table II.
 ReportCheck check_verdicts(const std::vector<LoopVerdict>& verdicts,
-                           const std::vector<LoopExpectation>& truth);
+                           const std::vector<LoopTruth>& truth);
 
 }  // namespace depprof

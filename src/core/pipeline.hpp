@@ -493,7 +493,6 @@ class DetectStage {
     const std::uint64_t w0 = WallTimer::now();
     const std::uint64_t c0 = ThreadCpuTimer::now();
     stats_->add_prefetches(core_.process_batch(events, count, deps_));
-    stats_->add_kernel_batches(1);
     stats_->add_cpu_ns(ThreadCpuTimer::now() - c0);
     stats_->add_busy_ns(WallTimer::now() - w0);
     stats_->add_events(count);

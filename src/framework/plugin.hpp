@@ -1,15 +1,16 @@
 #pragma once
-// Analysis-plugin interface (Sec. VIII): "a dependence-based program
-// analysis can be implemented as a plugin".
+// Analysis plugins (Sec. VIII): "a dependence-based program analysis can be
+// implemented as a plugin".
 //
-// A plugin consumes the ProgramModel and produces a textual report (and
-// whatever structured side effects it wants).  Built-in plugins re-package
-// the Sec. VII analyses and add a Kremlin-style parallelism-metric pass:
+// A plugin is a named function from the ProgramModel to a textual report.
+// The built-ins re-package the Sec. VII analyses and add two parallelism-
+// metric passes, listed in `depprof plugins` order:
 //
-//   loop-parallelism    — Sec. VII-A verdicts (format_loop_verdicts)
+//   loop-parallelism    — Sec. VII-A verdicts as the report tree
+//                         (render_loop_report)
 //   comm-matrix         — Sec. VII-B producer/consumer matrix
 //   race-report         — Sec. V-B potential data races
-//   hot-deps            — dependences ranked by dynamic instance count
+//   hot-deps            — the top dependences by dynamic instance count
 //   self-parallelism    — Kremlin-flavoured per-loop parallelism estimate
 //                         (iterations vs carried recurrences), ranking loops
 //                         by expected parallelization benefit
@@ -17,45 +18,25 @@
 //                         loop-carried RAW, the min/max iteration distance
 //                         and the blocking it implies
 
-#include <memory>
+#include <span>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "framework/program_model.hpp"
 
 namespace depprof {
 
-class AnalysisPlugin {
- public:
-  virtual ~AnalysisPlugin() = default;
-  virtual std::string name() const = 0;
-  virtual std::string description() const = 0;
+struct Plugin {
+  const char* name;
+  const char* description;
   /// Runs the analysis over the model and returns a human-readable report.
-  virtual std::string run(const ProgramModel& model) = 0;
+  std::string (*run)(const ProgramModel& model);
 };
 
-/// Registry of available plugins.  Built-ins are pre-registered; user
-/// plugins can be added at runtime.
-class PluginRegistry {
- public:
-  /// The process-wide registry, populated with the built-in plugins.
-  static PluginRegistry& instance();
+/// The built-in plugins, in listing order.
+std::span<const Plugin> plugins();
 
-  void add(std::unique_ptr<AnalysisPlugin> plugin);
-  AnalysisPlugin* find(const std::string& name) const;
-  std::vector<AnalysisPlugin*> all() const;
-
- private:
-  std::vector<std::unique_ptr<AnalysisPlugin>> plugins_;
-};
-
-/// Factory helpers for the built-in plugins (usable standalone, without the
-/// registry).
-std::unique_ptr<AnalysisPlugin> make_loop_parallelism_plugin();
-std::unique_ptr<AnalysisPlugin> make_comm_matrix_plugin();
-std::unique_ptr<AnalysisPlugin> make_race_report_plugin();
-std::unique_ptr<AnalysisPlugin> make_hot_deps_plugin(std::size_t top_n = 10);
-std::unique_ptr<AnalysisPlugin> make_self_parallelism_plugin();
-std::unique_ptr<AnalysisPlugin> make_dep_distance_plugin();
+/// The plugin called `name`; nullptr if there is none.
+const Plugin* find_plugin(std::string_view name);
 
 }  // namespace depprof

@@ -15,10 +15,10 @@ const DepGraph& ProgramModel::dep_graph() const {
   return *dep_graph_;
 }
 
-const LoopTable& ProgramModel::loop_table() const {
-  if (!loop_table_)
-    loop_table_ = std::make_unique<LoopTable>(deps_, cf_, reduction_lines_);
-  return *loop_table_;
+std::vector<LoopVerdict> ProgramModel::loop_verdicts() const {
+  LoopAnalysisOptions opts;
+  opts.reduction_lines = reduction_lines_;
+  return analyze_loops(deps_, cf_, opts);
 }
 
 }  // namespace depprof

@@ -8,17 +8,18 @@
 // and a dependence-based program analysis can be implemented as a plugin."
 //
 // ProgramModel bundles one profiled run's outputs (merged dependences,
-// control-flow log, call tree, reduction hints, run statistics) and lazily
-// derives the framework representations from them.  Analyses access the
-// model through AnalysisPlugin (plugin.hpp).
+// control-flow log, call tree, reduction hints, run statistics) and derives
+// the framework representations from them: the dependence graph, and the
+// per-loop verdicts of the Sec. VII-A analysis that stand in for the loop
+// table.  The plugin table (plugin.hpp) runs analyses over the model.
 
 #include <memory>
 #include <vector>
 
+#include "analysis/loop_parallelism.hpp"
 #include "core/dep.hpp"
 #include "core/profiler.hpp"
 #include "framework/dep_graph.hpp"
-#include "framework/loop_table.hpp"
 #include "trace/call_tree.hpp"
 #include "trace/control_flow.hpp"
 
@@ -49,9 +50,11 @@ class ProgramModel {
   }
   const ProfilerStats& stats() const { return stats_; }
 
-  // -- derived representations (built on first access, then cached) --------
+  // -- derived representations -------------------------------------------
+  /// Built on first access, then cached.
   const DepGraph& dep_graph() const;
-  const LoopTable& loop_table() const;
+  /// One verdict per loop (analyze_loops with the run's reduction hints).
+  std::vector<LoopVerdict> loop_verdicts() const;
 
  private:
   DepMap deps_;
@@ -61,7 +64,6 @@ class ProgramModel {
   ProfilerStats stats_;
 
   mutable std::unique_ptr<DepGraph> dep_graph_;
-  mutable std::unique_ptr<LoopTable> loop_table_;
 };
 
 }  // namespace depprof

@@ -18,7 +18,7 @@ std::string snapshot_csv(const PipelineSnapshot& snap) {
   std::ostringstream os;
   os << "stage,events,chunks,stalls,queue_depth_hwm,busy_sec,cpu_sec,"
         "idle_sec,idle_cpu_sec,parked_sec,parks,block_sec,wakes,"
-        "migrations,rounds,kernel_batches,prefetches,events_deduped,"
+        "migrations,rounds,prefetches,events_deduped,"
         "bytes_on_wire,events_sampled_out,bursts,"
         "sampled_overhead_ppm,races_confirmed,races_unconfirmed,"
         "races_lock_suppressed,resident_pages,hugepage_fallbacks\n";
@@ -28,7 +28,7 @@ std::string snapshot_csv(const PipelineSnapshot& snap) {
        << fmt_sec(s.cpu_sec()) << ',' << fmt_sec(s.idle_sec()) << ','
        << fmt_sec(s.idle_cpu_sec()) << ',' << fmt_sec(s.parked_sec()) << ','
        << s.parks << ',' << fmt_sec(s.block_sec()) << ',' << s.wakes << ','
-       << s.migrations << ',' << s.rounds << ',' << s.kernel_batches << ','
+       << s.migrations << ',' << s.rounds << ','
        << s.prefetches << ',' << s.events_deduped << ',' << s.bytes_on_wire
        << ',' << s.events_sampled_out << ','
        << s.bursts << ',' << s.sampled_overhead_ppm << ','
@@ -58,7 +58,6 @@ std::string snapshot_json(const PipelineSnapshot& snap) {
        << ",\"block_sec\":" << fmt_sec(s.block_sec())
        << ",\"wakes\":" << s.wakes
        << ",\"migrations\":" << s.migrations << ",\"rounds\":" << s.rounds
-       << ",\"kernel_batches\":" << s.kernel_batches
        << ",\"prefetches\":" << s.prefetches
        << ",\"events_deduped\":" << s.events_deduped
        << ",\"bytes_on_wire\":" << s.bytes_on_wire
@@ -80,17 +79,17 @@ std::string snapshot_text(const PipelineSnapshot& snap) {
   char line[384];
   std::snprintf(line, sizeof(line),
                 "%-11s %12s %10s %8s %10s %10s %10s %10s %10s %9s %7s %9s %6s "
-                "%6s %6s %8s %10s %10s %12s %10s %7s %8s %7s %7s %7s %9s %9s\n",
+                "%6s %6s %10s %10s %12s %10s %7s %8s %7s %7s %7s %9s %9s\n",
                 "stage", "events", "chunks", "stalls", "depth_hwm", "busy_s",
                 "cpu_s", "idle_s", "idlecpu_s", "parked_s", "parks", "block_s",
-                "wakes", "moved", "rounds", "batches", "prefetch", "deduped",
+                "wakes", "moved", "rounds", "prefetch", "deduped",
                 "wire_bytes", "sampled", "bursts", "ovh_ppm",
                 "races", "unconf", "locksup", "res_pages", "hp_fallbk");
   os << line;
   for (const auto& s : snap.stages) {
     std::snprintf(line, sizeof(line),
                   "%-11s %12llu %10llu %8llu %10llu %10.4f %10.4f %10.4f "
-                  "%10.4f %9.4f %7llu %9.4f %6llu %6llu %6llu %8llu %10llu "
+                  "%10.4f %9.4f %7llu %9.4f %6llu %6llu %6llu %10llu "
                   "%10llu %12llu %10llu %7llu %8llu %7llu %7llu %7llu %9llu "
                   "%9llu\n",
                   s.stage.c_str(), static_cast<unsigned long long>(s.events),
@@ -102,7 +101,6 @@ std::string snapshot_text(const PipelineSnapshot& snap) {
                   s.block_sec(), static_cast<unsigned long long>(s.wakes),
                   static_cast<unsigned long long>(s.migrations),
                   static_cast<unsigned long long>(s.rounds),
-                  static_cast<unsigned long long>(s.kernel_batches),
                   static_cast<unsigned long long>(s.prefetches),
                   static_cast<unsigned long long>(s.events_deduped),
                   static_cast<unsigned long long>(s.bytes_on_wire),

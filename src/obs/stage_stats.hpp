@@ -45,7 +45,6 @@ struct alignas(64) StageStats {
   std::atomic<std::uint64_t> wakes{0};     ///< wakeups this stage delivered to peers
   std::atomic<std::uint64_t> migrations{0};  ///< addresses rerouted (route stage)
   std::atomic<std::uint64_t> rounds{0};      ///< redistribution rounds (route stage)
-  std::atomic<std::uint64_t> kernel_batches{0};  ///< batched-kernel invocations (detect)
   std::atomic<std::uint64_t> prefetches{0};      ///< slot prefetches issued K ahead (detect)
   std::atomic<std::uint64_t> events_deduped{0};  ///< accesses elided as exact repeats (produce)
   std::atomic<std::uint64_t> bytes_on_wire{0};   ///< chunk payload bytes actually queued (produce)
@@ -73,7 +72,6 @@ struct alignas(64) StageStats {
   }
   void add_migrations(std::uint64_t n) { migrations.fetch_add(n, std::memory_order_relaxed); }
   void add_rounds(std::uint64_t n) { rounds.fetch_add(n, std::memory_order_relaxed); }
-  void add_kernel_batches(std::uint64_t n) { kernel_batches.fetch_add(n, std::memory_order_relaxed); }
   void add_prefetches(std::uint64_t n) { prefetches.fetch_add(n, std::memory_order_relaxed); }
   void add_events_deduped(std::uint64_t n) { events_deduped.fetch_add(n, std::memory_order_relaxed); }
   void add_bytes_on_wire(std::uint64_t n) { bytes_on_wire.fetch_add(n, std::memory_order_relaxed); }
@@ -125,7 +123,6 @@ struct StageSnapshot {
   std::uint64_t wakes = 0;
   std::uint64_t migrations = 0;
   std::uint64_t rounds = 0;
-  std::uint64_t kernel_batches = 0;
   std::uint64_t prefetches = 0;
   std::uint64_t events_deduped = 0;
   std::uint64_t bytes_on_wire = 0;
@@ -228,7 +225,6 @@ class PipelineObs {
     out.wakes = s.wakes.load(std::memory_order_relaxed);
     out.migrations = s.migrations.load(std::memory_order_relaxed);
     out.rounds = s.rounds.load(std::memory_order_relaxed);
-    out.kernel_batches = s.kernel_batches.load(std::memory_order_relaxed);
     out.prefetches = s.prefetches.load(std::memory_order_relaxed);
     out.events_deduped = s.events_deduped.load(std::memory_order_relaxed);
     out.bytes_on_wire = s.bytes_on_wire.load(std::memory_order_relaxed);

@@ -139,14 +139,17 @@ struct WaitCounters {
   std::uint64_t parked_ns = 0;  ///< wall time spent blocked
 };
 
+/// Polls per round of the spin and of the yield phase of wait_until.
+inline constexpr int kWaitSpinPolls = 256;
+inline constexpr int kWaitYieldPolls = 16;
+
 /// Blocks until poll() returns true, escalating spin → yield → park as the
 /// strategy permits.  `poll` must be safe to call repeatedly and is the only
 /// way the wait exits; with kPark the peer that makes poll() true must
-/// notify `ec` afterwards.
+/// notify `ec` afterwards.  A kPark round polls kWaitSpinPolls +
+/// kWaitYieldPolls times, registers with `ec`, polls once more, then blocks.
 template <typename Poll>
 WaitCounters wait_until(WaitKind kind, EventCount& ec, Poll&& poll) {
-  constexpr int kSpinIters = 256;
-  constexpr int kYieldIters = 16;
   WaitCounters out;
   if (sched::active()) {
     // Under deterministic scheduling the wait IS a schedule point: spinning
@@ -157,12 +160,12 @@ WaitCounters wait_until(WaitKind kind, EventCount& ec, Poll&& poll) {
     return out;
   }
   for (;;) {
-    for (int i = 0; i < kSpinIters; ++i) {
+    for (int i = 0; i < kWaitSpinPolls; ++i) {
       if (poll()) return out;
       cpu_relax();
     }
     if (kind == WaitKind::kSpin) continue;
-    for (int i = 0; i < kYieldIters; ++i) {
+    for (int i = 0; i < kWaitYieldPolls; ++i) {
       if (poll()) return out;
       std::this_thread::yield();
       ++out.yields;

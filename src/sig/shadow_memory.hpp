@@ -33,11 +33,6 @@ class ShadowMemory {
 
   ShadowMemory() = default;
 
-  /// A/B toggle for the walk assist below (bench/ablation_storage measures
-  /// the delta).  Process-wide and read-only on the hot path; defaults on.
-  static void set_walk_assist(bool on) { walk_assist_flag() = on; }
-  static bool walk_assist() { return walk_assist_flag(); }
-
   const Slot* find(std::uint64_t addr) const {
     const Page* page = find_page(addr);
     if (page == nullptr) return nullptr;
@@ -45,7 +40,7 @@ class ShadowMemory {
     // Issue the slot's line the moment the walk resolves, before the
     // empty()/caller loads reach it: its miss is otherwise exposed on the
     // caller's compare (and on the insert that usually follows).
-    if (walk_assist()) prefetch_obj_rw(&page->slots[off], sizeof(Slot));
+    prefetch_obj_rw(&page->slots[off], sizeof(Slot));
     const Slot& s = page->slots[off];
     return s.empty() ? nullptr : &s;
   }
@@ -114,7 +109,7 @@ class ShadowMemory {
   // only empties slots), so the cached pointer stays valid until clear().
   const Page* find_page(std::uint64_t addr) const {
     const std::uint64_t id = page_id(addr);
-    if (walk_assist() && id == last_page_id_) return last_page_;
+    if (id == last_page_id_) return last_page_;
     auto it = pages_.find(id);
     if (it == pages_.end()) return nullptr;
     last_page_id_ = id;
@@ -126,18 +121,12 @@ class ShadowMemory {
   }
   Page& touch_page(std::uint64_t addr) {
     const std::uint64_t id = page_id(addr);
-    if (walk_assist() && id == last_page_id_)
-      return *const_cast<Page*>(last_page_);
+    if (id == last_page_id_) return *const_cast<Page*>(last_page_);
     auto& p = pages_[id];
     if (!p) p = std::make_unique<Page>();
     last_page_id_ = id;
     last_page_ = p.get();
     return *p;
-  }
-
-  static bool& walk_assist_flag() {
-    static bool on = true;
-    return on;
   }
 
   static constexpr std::uint64_t kNoPage = ~std::uint64_t{0};

@@ -175,31 +175,6 @@ TEST(LoopParallelism, ReductionFilteredAtEveryNestLevel) {
     EXPECT_EQ(v.kind, LoopVerdictKind::kSerial);
 }
 
-TEST(LoopParallelism, FormatListsVerdictsAndBlockers) {
-  ControlFlowLog cf;
-  cf.loops.push_back(loop(10, 20));
-  DepMap deps;
-  deps.add(key(DepType::kRaw, 15, 16), kLoopCarried, at(10, 1, 1));
-  const auto verdicts = analyze_loops(deps, cf);
-  const std::string out = format_loop_verdicts(verdicts);
-  EXPECT_NE(out.find("serial"), std::string::npos);
-  EXPECT_NE(out.find("blocked by carried RAW"), std::string::npos);
-}
-
-TEST(LoopParallelism, FormatNamesReductionsAndPrivatization) {
-  ControlFlowLog cf;
-  cf.loops.push_back(loop(10, 20));
-  DepMap deps;
-  deps.add(key(DepType::kRaw, 15, 15), kLoopCarried, at(10, 1, 1));
-  deps.add(key(DepType::kWar, 16, 17), kLoopCarried, at(10, 1, 1));
-  LoopAnalysisOptions opts;
-  opts.reduction_lines = {SourceLocation(1, 15).packed()};
-  const std::string out = format_loop_verdicts(analyze_loops(deps, cf, opts));
-  EXPECT_NE(out.find("reduction-suspect"), std::string::npos);
-  EXPECT_NE(out.find("reduction update at"), std::string::npos);
-  EXPECT_NE(out.find("privatize"), std::string::npos);
-}
-
 // ------------------------------------------------------------- report
 
 TEST(Report, TextTreeIndentsNestedLoops) {
@@ -221,6 +196,24 @@ TEST(Report, TextTreeIndentsNestedLoops) {
   EXPECT_NE(out.find("verdict=DOALL-safe"), std::string::npos);
   EXPECT_NE(out.find("verdict=serial"), std::string::npos);
   EXPECT_NE(out.find("blocked by carried RAW"), std::string::npos);
+}
+
+TEST(Report, TextNamesReductionsAndPrivatization) {
+  ControlFlowLog cf;
+  cf.loops.push_back(loop(10, 20));
+  DepMap deps;
+  deps.add(key(DepType::kRaw, 15, 15), kLoopCarried, at(10, 1, 1));
+  deps.add(key(DepType::kWar, 16, 17), kLoopCarried, at(10, 1, 1));
+  LoopAnalysisOptions opts;
+  opts.reduction_lines = {SourceLocation(1, 15).packed()};
+  const std::string out =
+      render_loop_report(analyze_loops(deps, cf, opts), cf);
+  EXPECT_NE(out.find("verdict=reduction-suspect"), std::string::npos) << out;
+  EXPECT_NE(out.find("  reduction update at 1:15 ("), std::string::npos)
+      << out;
+  // The privatization line names the dependence type and both endpoints.
+  EXPECT_NE(out.find("  privatize "), std::string::npos) << out;
+  EXPECT_NE(out.find(" (WAR 1:16 <- 1:17)\n"), std::string::npos) << out;
 }
 
 TEST(Report, JsonNestsChildrenAndFlags) {
@@ -310,10 +303,7 @@ TEST(Report, GoldenIsWorkloadMatchesOmpTruth) {
   EXPECT_EQ(verdicts[2].kind, LoopVerdictKind::kSerial);
   EXPECT_EQ(verdicts[3].kind, LoopVerdictKind::kDoallSafe);
 
-  std::vector<LoopExpectation> truth;
-  for (const LoopTruth& t : w->loops)
-    truth.push_back({t.label, t.parallelizable});
-  const ReportCheck chk = check_verdicts(verdicts, truth);
+  const ReportCheck chk = check_verdicts(verdicts, w->loops);
   EXPECT_TRUE(chk.ok()) << (chk.mismatches.empty() ? ""
                                                    : chk.mismatches[0]);
   EXPECT_EQ(chk.matched, 4u);

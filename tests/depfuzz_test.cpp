@@ -353,7 +353,7 @@ TEST(Harness, SampledOracleSatisfiesSubsetContract) {
   p.distinct = 256;
   for (const Trace& t : {gen_loop(p, 32, true), gen_churn(p, 0.25, 0, 3)}) {
     const DepMap full = oracle_dependences(t, false);
-    for (const auto [burst, skip] : {std::pair{4u, 4u}, std::pair{1u, 9u}}) {
+    for (const auto& [burst, skip] : {std::pair{4u, 4u}, std::pair{1u, 9u}}) {
       const Trace s = sample_stream(t, burst, skip);
       const DepMap sampled = oracle_dependences(s, false);
       const SubsetReport rep = check_sampled_subset(full, sampled);

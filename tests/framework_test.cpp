@@ -1,8 +1,12 @@
 // Tests for the Sec. VIII program-analysis framework: call tree, dependence
-// graph, loop table, program model, and the plugin registry.
+// graph, program model (with its loop verdicts), and the plugin table.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+
+#include "analysis/report.hpp"
 #include "core/profiler.hpp"
 #include "framework/plugin.hpp"
 #include "framework/program_model.hpp"
@@ -127,9 +131,26 @@ TEST(DepGraphTest, DotExportMentionsEdgesAndStyles) {
   EXPECT_EQ(dot.find("INIT"), std::string::npos);  // INIT pseudo-edges skipped
 }
 
-// -------------------------------------------------------------- LoopTable
+// ----------------------------------------------------------- loop verdicts
 
-TEST(LoopTableTest, AggregatesPerLoop) {
+/// Whitespace-separated cells of the table row whose first cell is `first`.
+std::vector<std::string> row_cells(const std::string& table,
+                                   const std::string& first) {
+  const auto pos = table.find('\n' + first + ' ');
+  if (pos == std::string::npos) return {};
+  const auto eol = table.find('\n', pos + 1);
+  std::istringstream line(table.substr(pos + 1, eol - pos - 1));
+  std::vector<std::string> cells;
+  for (std::string cell; line >> cell;) cells.push_back(cell);
+  return cells;
+}
+
+std::string run_plugin(const char* name, const ProgramModel& model) {
+  const Plugin* p = find_plugin(name);
+  return p == nullptr ? "no plugin " + std::string(name) : p->run(model);
+}
+
+TEST(LoopVerdictsTest, ModelAggregatesPerLoop) {
   ControlFlowLog cf;
   LoopRecord loop;
   loop.loop_id = SourceLocation(1, 10).packed();
@@ -144,19 +165,32 @@ TEST(LoopTableTest, AggregatesPerLoop) {
   deps.add(inside, kLoopCarried, {loop.loop_id, 1, 1, true});
   deps.add(inside, kLoopCarried, {loop.loop_id, 1, 1, true});
   deps.add(key(DepType::kRaw, 50, 40), 0);  // outside the loop body
+  const ProgramModel model(std::move(deps), std::move(cf), {}, {});
 
-  const LoopTable table(deps, cf, {});
-  ASSERT_EQ(table.rows().size(), 1u);
-  const LoopRow& row = table.rows()[0];
-  EXPECT_EQ(row.dep_kinds, 1u);
-  EXPECT_EQ(row.dep_instances, 2u);
-  EXPECT_EQ(row.carried_raw, 1u);
-  EXPECT_EQ(row.min_carried_bucket, 1u);
-  EXPECT_EQ(row.verdict, LoopVerdictKind::kSerial);
-  EXPECT_FALSE(row.parallelizable);
-  EXPECT_NE(table.find(loop.loop_id), nullptr);
-  EXPECT_EQ(table.find(12345), nullptr);
-  EXPECT_NE(table.render().find("serial"), std::string::npos);
+  const auto verdicts = model.loop_verdicts();
+  ASSERT_EQ(verdicts.size(), 1u);
+  EXPECT_EQ(verdicts[0].kind, LoopVerdictKind::kSerial);
+  EXPECT_FALSE(verdicts[0].parallelizable());
+  ASSERT_EQ(verdicts[0].blockers.size(), 1u);
+  EXPECT_EQ(verdicts[0].blockers[0], inside);
+
+  // Self-parallelism: 50 iterations per entry, work = the two instances
+  // sinking in the body (the outside dependence is not counted), and the
+  // distance-1 recurrence serializes the loop fully.
+  const auto cells =
+      row_cells(run_plugin("self-parallelism", model), "1:10");
+  ASSERT_EQ(cells.size(), 5u);
+  EXPECT_EQ(cells[1], "50");  // iters/entry
+  EXPECT_EQ(cells[2], "1");   // self-parallelism
+  EXPECT_EQ(cells[3], "2");   // work
+  EXPECT_EQ(cells[4], "0");   // benefit
+
+  const std::string tree = run_plugin("loop-parallelism", model);
+  EXPECT_EQ(tree, render_loop_report(verdicts, model.control_flow()));
+  EXPECT_NE(tree.find("verdict=serial"), std::string::npos) << tree;
+  EXPECT_NE(tree.find("blocked by carried RAW 1:15 <- 1:12"),
+            std::string::npos)
+      << tree;
 }
 
 // ----------------------------------------------------------- ProgramModel
@@ -185,34 +219,45 @@ TEST(ProgramModelTest, FromRunBundlesEverything) {
   EXPECT_EQ(model.control_flow().loops.size(), 1u);
   EXPECT_EQ(model.call_tree().size(), 2u);  // root + kernel
   EXPECT_GT(model.dep_graph().edge_count(), 0u);
-  EXPECT_EQ(model.loop_table().rows().size(), 1u);
+  const auto verdicts = model.loop_verdicts();
+  ASSERT_EQ(verdicts.size(), 1u);
   // The carried self-RAW on acc blocks the loop (no reduction hint given).
-  EXPECT_FALSE(model.loop_table().rows()[0].parallelizable);
+  EXPECT_FALSE(verdicts[0].parallelizable());
   Runtime::instance().reset();
 }
 
 // ---------------------------------------------------------------- Plugins
 
-TEST(PluginTest, RegistryHasBuiltins) {
-  auto& reg = PluginRegistry::instance();
-  EXPECT_GE(reg.all().size(), 5u);
-  EXPECT_NE(reg.find("loop-parallelism"), nullptr);
-  EXPECT_NE(reg.find("comm-matrix"), nullptr);
-  EXPECT_NE(reg.find("race-report"), nullptr);
-  EXPECT_NE(reg.find("hot-deps"), nullptr);
-  EXPECT_NE(reg.find("self-parallelism"), nullptr);
-  EXPECT_EQ(reg.find("no-such-plugin"), nullptr);
+TEST(PluginTest, TableListsBuiltinsInOrder) {
+  std::vector<std::string> names;
+  for (const Plugin& p : plugins()) {
+    names.emplace_back(p.name);
+    EXPECT_EQ(find_plugin(p.name), &p);
+    EXPECT_NE(std::string(p.description), "");
+  }
+  const std::vector<std::string> expected = {
+      "loop-parallelism", "comm-matrix",      "race-report",
+      "hot-deps",         "self-parallelism", "dep-distance"};
+  EXPECT_EQ(names, expected);
+  EXPECT_EQ(find_plugin("no-such-plugin"), nullptr);
 }
 
 TEST(PluginTest, HotDepsRanksByCount) {
+  // Twelve distinct dependences, dependence i seen i+1 times: the top ten
+  // are listed hottest first and the two coldest are cut.
   DepMap deps;
-  for (int i = 0; i < 5; ++i) deps.add(key(DepType::kRaw, 20, 10), 0);
-  deps.add(key(DepType::kRaw, 30, 10), 0);
+  for (std::uint32_t i = 0; i < 12; ++i)
+    for (std::uint32_t n = 0; n <= i; ++n)
+      deps.add(key(DepType::kRaw, 100 + i, 10), 0);
   ProgramModel model(std::move(deps), {}, {}, {});
-  auto plugin = make_hot_deps_plugin(1);
-  const std::string out = plugin->run(model);
-  EXPECT_NE(out.find("x5"), std::string::npos);
-  EXPECT_EQ(out.find("1:30"), std::string::npos);  // only the top entry
+  const std::string out = run_plugin("hot-deps", model);
+  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 10) << out;
+  EXPECT_EQ(out.find("RAW 1:111 <- 1:10"), 0u) << out;  // x12 first
+  EXPECT_NE(out.find("x12"), std::string::npos);
+  EXPECT_LT(out.find("x12"), out.find("x11"));
+  EXPECT_NE(out.find("x3\n"), std::string::npos);
+  EXPECT_EQ(out.find("1:101 "), std::string::npos) << out;  // x2 cut
+  EXPECT_EQ(out.find("1:100 "), std::string::npos) << out;  // x1 cut
 }
 
 TEST(PluginTest, SelfParallelismPrefersParallelHotLoops) {
@@ -235,7 +280,7 @@ TEST(PluginTest, SelfParallelismPrefersParallelHotLoops) {
     deps.add(key(DepType::kRaw, 45, 42), kLoopCarried, {seq.loop_id, 1, 1, true});
   }
   ProgramModel model(std::move(deps), cf, {}, {});
-  const std::string out = make_self_parallelism_plugin()->run(model);
+  const std::string out = run_plugin("self-parallelism", model);
   // The parallel loop (1:10) must rank above the serialized one (1:40).
   EXPECT_LT(out.find("1:10"), out.find("1:40")) << out;
 }
@@ -247,7 +292,7 @@ TEST(PluginTest, DepDistanceReportsBlockingAdvice) {
   deps.add(k, kLoopCarried, {loop5, 1, 4, true});
   deps.add(k, kLoopCarried, {loop5, 1, 4, true});
   ProgramModel model(std::move(deps), {}, {}, {});
-  const std::string out = make_dep_distance_plugin()->run(model);
+  const std::string out = run_plugin("dep-distance", model);
   // Both instances sit in the d>=2 bucket: a gap of independent iterations
   // remains, so blocking/unrolling advice applies.
   EXPECT_NE(out.find("gapped: blocking/unrolling may apply"),
@@ -258,7 +303,7 @@ TEST(PluginTest, DepDistanceReportsBlockingAdvice) {
   serial_deps.add(key(DepType::kRaw, 20, 10), kLoopCarried,
                   {loop5, 1, 1, true});
   ProgramModel serial_model(std::move(serial_deps), {}, {}, {});
-  EXPECT_NE(make_dep_distance_plugin()->run(serial_model).find(
+  EXPECT_NE(run_plugin("dep-distance", serial_model).find(
                 "serializing recurrence"),
             std::string::npos);
 }
@@ -276,31 +321,15 @@ TEST(PluginTest, SelfParallelismUsesBucketForCarriedLoops) {
   deps.add(key(DepType::kRaw, 15, 12), kLoopCarried,
            {loop.loop_id, 1, 8, true});
   ProgramModel model(std::move(deps), cf, {}, {});
-  const LoopRow& row = model.loop_table().rows()[0];
-  EXPECT_FALSE(row.parallelizable);
-  EXPECT_EQ(row.verdict, LoopVerdictKind::kSerial);
+  const auto verdicts = model.loop_verdicts();
+  ASSERT_EQ(verdicts.size(), 1u);
+  EXPECT_EQ(verdicts[0].kind, LoopVerdictKind::kSerial);
   // Only d>=2 instances: at least one independent iteration between
   // conflicting ones, so SP floors at 2 rather than serializing fully.
-  EXPECT_EQ(row.min_carried_bucket, 2u);
-  const std::string out = make_self_parallelism_plugin()->run(model);
-  EXPECT_NE(out.find("self-parallelism"), std::string::npos);
-}
-
-TEST(PluginTest, CustomPluginCanBeRegistered) {
-  class CountPlugin final : public AnalysisPlugin {
-   public:
-    std::string name() const override { return "dep-count"; }
-    std::string description() const override { return "counts dependences"; }
-    std::string run(const ProgramModel& model) override {
-      return std::to_string(model.deps().size()) + " dependences\n";
-    }
-  };
-  PluginRegistry reg;
-  reg.add(std::make_unique<CountPlugin>());
-  DepMap deps;
-  deps.add(key(DepType::kRaw, 20, 10), 0);
-  ProgramModel model(std::move(deps), {}, {}, {});
-  EXPECT_EQ(reg.find("dep-count")->run(model), "1 dependences\n");
+  const auto cells =
+      row_cells(run_plugin("self-parallelism", model), "1:10");
+  ASSERT_EQ(cells.size(), 5u) << run_plugin("self-parallelism", model);
+  EXPECT_EQ(cells[2], "2");
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 #include "analysis/comm_matrix.hpp"
@@ -33,18 +34,23 @@ std::unique_ptr<IProfiler> make_mt_profiler(unsigned workers = 4) {
 }
 
 /// Producer thread writes a shared cell under a lock; consumer reads it
-/// under the same lock — a clean producer/consumer pattern.
+/// under the same lock — a clean producer/consumer pattern.  The consumer
+/// starts reading only after the first write, so at least one read sees
+/// the producer's value however the two threads are scheduled.
 void producer_consumer_kernel(int rounds) {
   double shared = 0.0;
   InstrumentedMutex mu;
+  std::atomic<bool> written{false};
   std::thread producer([&] {
     for (int i = 0; i < rounds; ++i) {
       std::lock_guard lock(mu);
       DP_WRITE(shared);
       shared = i;
+      written.store(true, std::memory_order_release);
     }
   });
   std::thread consumer([&] {
+    while (!written.load(std::memory_order_acquire)) std::this_thread::yield();
     double sink = 0.0;
     for (int i = 0; i < rounds; ++i) {
       std::lock_guard lock(mu);

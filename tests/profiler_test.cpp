@@ -340,7 +340,7 @@ TEST(SerialProfiler, BatchedKernelCountersTrack) {
   const ProfilerStats st = prof->stats();
   const obs::StageSnapshot* d = st.stages.find("detect[0]");
   ASSERT_NE(d, nullptr);
-  EXPECT_GT(d->kernel_batches, 0u);
+  EXPECT_GT(d->chunks, 0u);
   EXPECT_GT(d->prefetches, 0u);
   // K events ahead within each batch: never more prefetches than events.
   EXPECT_LE(d->prefetches, 5'000u);

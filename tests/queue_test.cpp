@@ -272,14 +272,25 @@ TEST(WaitStrategy, NotifyWithoutWaitersIsFree) {
 TEST(WaitStrategy, ParkedWaiterIsWokenByNotify) {
   EventCount ec;
   std::atomic<bool> ready{false};
+  std::atomic<int> failed_polls{0};
   std::atomic<std::uint64_t> delivered{0};
   WaitCounters wc;
   std::thread waiter([&] {
-    wc = wait_until(WaitKind::kPark, ec,
-                    [&] { return ready.load(std::memory_order_acquire); });
+    wc = wait_until(WaitKind::kPark, ec, [&] {
+      const bool r = ready.load(std::memory_order_acquire);
+      if (!r) failed_polls.fetch_add(1, std::memory_order_acq_rel);
+      return r;
+    });
   });
-  // Give the waiter time to exhaust its spin/yield phases and park.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // Release the waiter only once it has failed the poll that follows its
+  // spin and yield phases and its registration with `ec`: from there it
+  // blocks at least once, however late it was scheduled.
+  constexpr int kParkPoll = kWaitSpinPolls + kWaitYieldPolls + 1;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (failed_polls.load(std::memory_order_acquire) < kParkPoll &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   ready.store(true, std::memory_order_release);
   delivered += ec.notify_all();
   waiter.join();

@@ -239,21 +239,21 @@ void emit(const ProgramModel& model, const CliOptions& opts) {
                stdout);
   }
 
+  auto run_plugin = [&](const Plugin& p) {
+    std::printf("\n== plugin %s ==\n%s", p.name, p.run(model).c_str());
+  };
   for (const std::string& name : opts.plugins) {
     if (name == "all") {
-      for (AnalysisPlugin* p : PluginRegistry::instance().all())
-        std::printf("\n== plugin %s ==\n%s", p->name().c_str(),
-                    p->run(model).c_str());
+      for (const Plugin& p : plugins()) run_plugin(p);
       continue;
     }
-    AnalysisPlugin* p = PluginRegistry::instance().find(name);
+    const Plugin* p = find_plugin(name);
     if (p == nullptr) {
       std::fprintf(stderr, "unknown plugin '%s' (try `depprof plugins`)\n",
                    name.c_str());
       continue;
     }
-    std::printf("\n== plugin %s ==\n%s", p->name().c_str(),
-                p->run(model).c_str());
+    run_plugin(*p);
   }
 
   if (opts.stats) {
@@ -337,21 +337,14 @@ int cmd_report(const char* name, const CliOptions& opts) {
   ProgramModel model;
   if (!profile_workload(*w, opts, model)) return 1;
 
-  LoopAnalysisOptions ao;
-  ao.reduction_lines = model.reduction_lines();
-  const std::vector<LoopVerdict> verdicts =
-      analyze_loops(model.deps(), model.control_flow(), ao);
+  const std::vector<LoopVerdict> verdicts = model.loop_verdicts();
   ReportOptions ro;
   ro.json = opts.report_json;
   std::fputs(render_loop_report(verdicts, model.control_flow(), ro).c_str(),
              stdout);
 
   if (opts.report_check) {
-    std::vector<LoopExpectation> truth;
-    truth.reserve(w->loops.size());
-    for (const LoopTruth& t : w->loops)
-      truth.push_back({t.label, t.parallelizable});
-    const ReportCheck chk = check_verdicts(verdicts, truth);
+    const ReportCheck chk = check_verdicts(verdicts, w->loops);
     std::printf("check: %u/%u loops match ground truth\n", chk.matched,
                 chk.total);
     for (const std::string& m : chk.mismatches)
@@ -394,8 +387,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (cmd == "plugins") {
-    for (AnalysisPlugin* p : PluginRegistry::instance().all())
-      std::printf("%-18s %s\n", p->name().c_str(), p->description().c_str());
+    for (const Plugin& p : plugins())
+      std::printf("%-18s %s\n", p.name, p.description);
     return 0;
   }
   if ((cmd == "run" || cmd == "replay" || cmd == "report") && argc >= 3) {
