@@ -43,7 +43,7 @@ Trace scratch_reuse_trace(std::size_t iters, std::size_t buf_words,
       AccessEvent ev;
       ev.addr = 0x5000 + w * 4;  // same scratch address every iteration
       ev.ctx = ctx;
-      ev.iters[0] = static_cast<std::uint32_t>(it);
+      ev.iter = static_cast<std::uint32_t>(it);
       if ((w + it) % 2 == 0) {  // partial initialization
         ev.kind = AccessKind::kWrite;
         ev.loc = SourceLocation(1, 11).packed();

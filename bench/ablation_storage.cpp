@@ -8,8 +8,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/timer.hpp"
 #include "core/detector.hpp"
@@ -132,22 +135,50 @@ void space_comparison() {
       "slower per access.\n");
 }
 
-/// Steady-state ns/access with the same warm-up discipline as run_detector,
-/// measured directly so the ratio lands in the machine-readable report
-/// (google-benchmark keeps its own output format).
+/// One backend's steady-state detector for the machine report: built and
+/// warmed once (the run_detector discipline), then timed one pass at a time.
 template <typename Store>
-double measured_ns_per_access(const Trace& t, Store read, Store write) {
-  DetectorCore<Store> det(std::move(read), std::move(write));
-  DepMap deps;
-  for (const auto& ev : t.events) det.process(ev, deps);  // warm-up pass
-  constexpr int kReps = 3;
-  const std::uint64_t t0 = WallTimer::now();
-  for (int r = 0; r < kReps; ++r)
-    for (const auto& ev : t.events) det.process(ev, deps);
-  const std::uint64_t t1 = WallTimer::now();
-  benchmark::DoNotOptimize(deps.size());
-  return static_cast<double>(t1 - t0) /
-         (static_cast<double>(kReps) * static_cast<double>(t.events.size()));
+class TimedDetector {
+ public:
+  TimedDetector(const Trace& t, Store read, Store write)
+      : t_(&t), det_(std::move(read), std::move(write)) {
+    for (const auto& ev : t.events) det_.process(ev, deps_);  // warm-up pass
+  }
+  /// ns/access of one more pass over the trace.
+  double sample() {
+    const std::uint64_t t0 = WallTimer::now();
+    for (const auto& ev : t_->events) det_.process(ev, deps_);
+    const std::uint64_t t1 = WallTimer::now();
+    benchmark::DoNotOptimize(deps_.size());
+    return static_cast<double>(t1 - t0) /
+           static_cast<double>(t_->events.size());
+  }
+
+ private:
+  const Trace* t_;
+  DetectorCore<Store> det_;
+  DepMap deps_;
+};
+
+/// Linear-interpolated quantile q of `v` (sorted in place).
+double quantile(std::vector<double>& v, double q) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+}
+
+/// Median and interquartile range of a sample set.
+struct Spread {
+  double median = 0.0;
+  double iqr = 0.0;
+};
+Spread spread(std::vector<double> v) {
+  const double q1 = quantile(v, 0.25);
+  const double q3 = quantile(v, 0.75);
+  return {quantile(v, 0.5), q3 - q1};
 }
 
 obs::PipelineSnapshot replay_stages(const Trace& t, StorageKind storage) {
@@ -163,27 +194,50 @@ void machine_report() {
   obs::BenchReport report("ablation_storage");
   const Trace t = shared_trace();
 
-  const double sig_ns = measured_ns_per_access<Signature<SeqSlot>>(
-      t, Signature<SeqSlot>(1u << 18), Signature<SeqSlot>(1u << 18));
-  const double table_ns = measured_ns_per_access<HashTableRecorder<SeqSlot>>(
-      t, HashTableRecorder<SeqSlot>(1u << 14), HashTableRecorder<SeqSlot>(1u << 14));
-  const double shadow_ns = measured_ns_per_access<ShadowMemory<SeqSlot>>(
-      t, ShadowMemory<SeqSlot>(), ShadowMemory<SeqSlot>());
-  const double perfect_ns = measured_ns_per_access<PerfectSignature<SeqSlot>>(
+  // Repeated, interleaved samples: each round times one pass of every
+  // backend, so host drift lands on all of them alike, and the ratios are
+  // taken per round (paired) before their median.
+  TimedDetector<Signature<SeqSlot>> sig(t, Signature<SeqSlot>(1u << 18),
+                                        Signature<SeqSlot>(1u << 18));
+  TimedDetector<HashTableRecorder<SeqSlot>> table(
+      t, HashTableRecorder<SeqSlot>(1u << 14),
+      HashTableRecorder<SeqSlot>(1u << 14));
+  TimedDetector<ShadowMemory<SeqSlot>> shadow(t, ShadowMemory<SeqSlot>(),
+                                              ShadowMemory<SeqSlot>());
+  TimedDetector<PerfectSignature<SeqSlot>> perfect(
       t, PerfectSignature<SeqSlot>(), PerfectSignature<SeqSlot>());
-  const double packed_ns = measured_ns_per_access<PackedShadowStore<SeqSlot>>(
+  TimedDetector<PackedShadowStore<SeqSlot>> packed(
       t, PackedShadowStore<SeqSlot>(), PackedShadowStore<SeqSlot>());
-
-  report.metric("signature_ns_per_access", sig_ns);
-  report.metric("hashtable_ns_per_access", table_ns);
-  report.metric("shadow_ns_per_access", shadow_ns);
-  report.metric("perfect_ns_per_access", perfect_ns);
-  report.metric("packed_ns_per_access", packed_ns);
-  report.metric("hashtable_over_signature", sig_ns > 0 ? table_ns / sig_ns : 0);
-  report.metric("hashtable_over_packed", packed_ns > 0 ? table_ns / packed_ns : 0);
+  constexpr int kSamples = 15;
+  std::vector<double> sig_ns, table_ns, shadow_ns, perfect_ns, packed_ns;
+  std::vector<double> table_over_sig, table_over_packed;
+  for (int i = 0; i < kSamples; ++i) {
+    sig_ns.push_back(sig.sample());
+    table_ns.push_back(table.sample());
+    shadow_ns.push_back(shadow.sample());
+    perfect_ns.push_back(perfect.sample());
+    packed_ns.push_back(packed.sample());
+    table_over_sig.push_back(table_ns.back() / sig_ns.back());
+    table_over_packed.push_back(table_ns.back() / packed_ns.back());
+  }
+  report.metric("samples", kSamples);
+  const auto put = [&](const std::string& name, std::vector<double>& v) {
+    const Spread sp = spread(v);
+    report.metric(name, sp.median);
+    report.metric(name + "_iqr", sp.iqr);
+    return sp;
+  };
+  put("signature_ns_per_access", sig_ns);
+  put("hashtable_ns_per_access", table_ns);
+  put("shadow_ns_per_access", shadow_ns);
+  put("perfect_ns_per_access", perfect_ns);
+  put("packed_ns_per_access", packed_ns);
+  const Spread ratio = put("hashtable_over_signature", table_over_sig);
+  put("hashtable_over_packed", table_over_packed);
   std::printf("\nSteady-state hash-table/signature per-access ratio: %.2fx "
-              "(paper band 1.5-3.7x)\n",
-              sig_ns > 0 ? table_ns / sig_ns : 0.0);
+              "(median of %d paired samples, IQR %.2f; paper band "
+              "1.5-3.7x)\n",
+              ratio.median, kSamples, ratio.iqr);
 
   report.stages("serial_signature", replay_stages(t, StorageKind::kSignature));
   report.stages("serial_hashtable", replay_stages(t, StorageKind::kHashTable));

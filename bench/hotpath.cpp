@@ -107,7 +107,7 @@ std::vector<AccessEvent> make_loop_stream(std::size_t events,
           NestForest::kRoot, static_cast<std::uint32_t>(phase_ctx.size()) + 1,
           0));
     ev.ctx = phase_ctx[phase];
-    ev.iters[0] = static_cast<std::uint32_t>(j) + 1;
+    ev.iter = static_cast<std::uint32_t>(j) + 1;
     out.push_back(ev);
   };
   while (out.size() + kBodyLines <= events) {
@@ -164,8 +164,8 @@ struct KernelRun {
 /// which covers exactly the code the per-event reference replaces and, on
 /// a loaded host, excludes preemption that would otherwise land on one side
 /// of the ratio at random.  Whole-replay throughput (wall clock) is kept as
-/// a context metric: it adds the driver's canonicalization copy and the
-/// merge.  Best-of-reps for both.
+/// a context metric: it adds the profiler's hand-off and the merge.
+/// Best-of-reps for both.
 void batched_rep(const ProfilerConfig& cfg,
                  const std::vector<AccessEvent>& stream, bool last,
                  KernelRun& result) {
@@ -192,9 +192,8 @@ void batched_rep(const ProfilerConfig& cfg,
 }
 
 /// One timed per-event reference run: DetectorCore::process over the
-/// canonicalized stream (`units`), timed in thread-CPU time around that
-/// loop alone — the code region the batched run's detect-stage CPU time
-/// covers.
+/// stream, timed in thread-CPU time around that loop alone — the code
+/// region the batched run's detect-stage CPU time covers.
 void per_event_rep(const ProfilerConfig& cfg,
                    const std::vector<AccessEvent>& units, bool last,
                    KernelRun& result) {
@@ -213,12 +212,10 @@ void per_event_rep(const ProfilerConfig& cfg,
 /// the byte-identity cross-check.  Returns false (and prints) on divergence.
 bool measure(const ProfilerConfig& cfg, const std::vector<AccessEvent>& stream,
              int reps, KernelRun& per_event, KernelRun& batched) {
-  std::vector<AccessEvent> units = stream;
-  for (AccessEvent& ev : units) ev.addr = word_addr(ev.addr);
   // Interleave the kernels rep by rep so drift on a noisy host (thermal,
   // neighbours) hits both sides equally; best-of-reps per kernel.
   for (int rep = 0; rep < reps; ++rep) {
-    per_event_rep(cfg, units, rep == reps - 1, per_event);
+    per_event_rep(cfg, stream, rep == reps - 1, per_event);
     batched_rep(cfg, stream, rep == reps - 1, batched);
   }
   // The kernels differ only in prefetching, batching, and record

@@ -21,9 +21,8 @@ constexpr std::uint64_t mix64(std::uint64_t x) {
 }
 
 /// Canonical address unit: profiling is word-granular (4 bytes), matching
-/// the paper's per-IR-load/store instrumentation.  The profilers
-/// canonicalize byte addresses once on entry; every store, router, and tag
-/// downstream operates on units.
+/// the paper's per-IR-load/store instrumentation.  Events keep their byte
+/// address; every store, router, and tag derives the unit where it uses it.
 constexpr std::uint64_t word_addr(std::uint64_t byte_addr) {
   return byte_addr >> 2;
 }

@@ -110,7 +110,7 @@ inline void chunk_handoff(Chunk& c, std::uint32_t expect, std::uint32_t next,
 /// steady-state acquire/release recycle path.
 class ChunkPool {
  public:
-  /// Default retention cap: 256 idle chunks = 16 MiB of chunk storage.
+  /// Default retention cap: 256 idle chunks = 8 MiB of chunk storage.
   explicit ChunkPool(std::size_t max_pooled = 256, std::size_t prealloc = 0,
                      bool sealed = false, WaitKind wait = WaitKind::kPark)
       : free_list_(std::max(max_pooled, prealloc)),

@@ -37,21 +37,17 @@
 namespace depprof {
 
 static_assert(kNestLevels == kNestIters,
-              "DepInfo level buckets mirror the event iteration window");
+              "DepInfo level buckets mirror the tracked nest levels");
 
-/// Builds the slot recorded for an access in a context of nest depth
-/// `depth`: the slot keeps the iteration at that depth, clamped to the
-/// window (a context deeper than kNestIters is only ever compared through
-/// an ancestor, whose iteration comes from the forest instead).
+/// Builds the slot recorded for an access to word unit `unit`: the slot
+/// keeps the event's own iteration (event.hpp).
 template <typename Slot>
-Slot make_slot(const AccessEvent& ev, std::uint32_t depth) {
+Slot make_slot(const AccessEvent& ev, std::uint64_t unit) {
   Slot s;
   s.loc = ev.loc;
-  s.tag = addr_tag(ev.addr);
+  s.tag = addr_tag(unit);
   s.ctx = ev.ctx;
-  s.iter = depth == 0
-               ? 0
-               : ev.iters[std::min<std::size_t>(depth, kNestIters) - 1];
+  s.iter = ev.iter;
   if constexpr (std::is_same_v<Slot, MtSlot>) {
     s.tid = ev.tid;
     s.flags = ev.flags;
@@ -71,17 +67,16 @@ Slot make_slot(const AccessEvent& ev, std::uint32_t depth) {
 /// advancing some iteration counter at or above the divergence point —
 /// every strictly higher level's counter is therefore equal for both
 /// endpoints, and the distance vector of the pair is zero everywhere except
-/// possibly at the LCA level itself.  The sink's counter at that level sits
-/// in its root-anchored window whenever the level's depth is <= kNestIters;
-/// the source brings only its own-level iteration `src_iter`, so when the
-/// walk climbs the source path its counter at the LCA level is the
-/// `entry_iter` of the child just below the LCA (event.hpp's window
-/// invariant).  Deeper common levels degrade to "carried, distance unknown"
-/// (the >= 2 bucket) rather than to any heuristic.
+/// possibly at the LCA level itself.  Each endpoint brings only its own
+/// iteration; while the walk climbs an endpoint's path, its counter at the
+/// current level is the `entry_iter` of the child just below (event.hpp's
+/// entry invariant).  The walk loads those nodes anyway for their parents.
+/// Deeper common levels than kNestIters degrade to "carried, distance
+/// unknown" (the >= 2 bucket) rather than to any heuristic.
 inline DepAttribution attribute_nest(std::uint32_t src_ctx,
                                      std::uint32_t src_iter,
                                      std::uint32_t sink_ctx,
-                                     const std::uint32_t* sink_iters) {
+                                     std::uint32_t sink_iter) {
   DepAttribution at;
   if (src_ctx == NestForest::kRoot || sink_ctx == NestForest::kRoot) return at;
   const NestForest& forest = nest_forest();
@@ -89,7 +84,8 @@ inline DepAttribution attribute_nest(std::uint32_t src_ctx,
   std::uint32_t b = sink_ctx;
   std::uint32_t da = forest.depth(a);
   std::uint32_t db = forest.depth(b);
-  std::uint32_t ia = src_iter;  // source iteration at level da
+  std::uint32_t ia = src_iter;   // source iteration at level da
+  std::uint32_t ib = sink_iter;  // sink iteration at level db
   while (da > db) {
     const NestForest::Node& n = forest.node(a);
     ia = n.entry_iter;
@@ -97,21 +93,24 @@ inline DepAttribution attribute_nest(std::uint32_t src_ctx,
     --da;
   }
   while (db > da) {
-    b = forest.parent(b);
+    const NestForest::Node& n = forest.node(b);
+    ib = n.entry_iter;
+    b = n.parent;
     --db;
   }
   while (a != b) {
-    const NestForest::Node& n = forest.node(a);
-    ia = n.entry_iter;
-    a = n.parent;
-    b = forest.parent(b);
+    const NestForest::Node& na = forest.node(a);
+    const NestForest::Node& nb = forest.node(b);
+    ia = na.entry_iter;
+    ib = nb.entry_iter;
+    a = na.parent;
+    b = nb.parent;
     --da;
   }
   if (a == NestForest::kRoot) return at;
   at.loop = forest.loop(a);
   at.level = da;
   if (da <= kNestIters) {
-    const std::uint32_t ib = sink_iters[da - 1];
     at.distance = ib > ia ? ib - ia : ia - ib;
     at.distance_known = true;
   } else {
@@ -132,12 +131,12 @@ inline DepAttribution attribute_nest(std::uint32_t src_ctx,
 /// slots.hpp).
 template <typename Slot>
 std::uint8_t classify_dep(const Slot& src, const AccessEvent& sink,
-                          DepAttribution& at) {
+                          std::uint64_t sink_unit, DepAttribution& at) {
   std::uint8_t f = 0;
   at = {};
-  const bool same_address = src.tag == addr_tag(sink.addr);
+  const bool same_address = src.tag == addr_tag(sink_unit);
   if (same_address) {
-    at = attribute_nest(src.ctx, src.iter, sink.ctx, sink.iters);
+    at = attribute_nest(src.ctx, src.iter, sink.ctx, sink.iter);
     if (at.loop != 0 && (!at.distance_known || at.distance != 0))
       f |= kLoopCarried;
     if (src.ctx != sink.ctx &&
@@ -196,25 +195,14 @@ class DetectorCore {
   ///    folded into the map once per distinct key (DepMap::fold) instead of
   ///    one map probe per event.
   ///
+  /// `reps` (nullable) carries front-end RLE run lengths: record i stands
+  /// for reps[i] consecutive identical instances, processed in place.
   /// Returns the number of prefetch pairs issued (obs accounting).
   std::size_t process_batch(const AccessEvent* events, std::size_t count,
-                            DepMap& deps) {
-    DepBatch batch;
-    std::size_t prefetched = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t ahead = i + kPrefetchDistance;
-      if (ahead < count) {
-        sig_read_.prefetch(events[ahead].addr);
-        sig_write_.prefetch(events[ahead].addr);
-        ++prefetched;
-      }
-      process_one(events[i], [&](const DepKey& k, std::uint8_t flags,
-                                 const DepAttribution& at) {
-        if (!batch.accumulate(k, flags, at)) deps.add(k, flags, at);
-      });
-    }
-    batch.flush(deps);
-    return prefetched;
+                            DepMap& deps,
+                            const std::uint32_t* reps = nullptr) {
+    return reps == nullptr ? batch_impl<false>(events, nullptr, count, deps)
+                           : batch_impl<true>(events, reps, count, deps);
   }
 
   Store& read_signature() { return sig_read_; }
@@ -247,6 +235,32 @@ class DetectorCore {
   }
 
  private:
+  template <bool kRle>
+  std::size_t batch_impl(const AccessEvent* events, const std::uint32_t* reps,
+                         std::size_t count, DepMap& deps) {
+    DepBatch batch;
+    std::size_t prefetched = 0;
+    const auto sink = [&](const DepKey& k, std::uint8_t flags,
+                          const DepAttribution& at) {
+      if (!batch.accumulate(k, flags, at)) deps.add(k, flags, at);
+    };
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t ahead = i + kPrefetchDistance;
+      if (ahead < count) {
+        sig_read_.prefetch(word_addr(events[ahead].addr));
+        sig_write_.prefetch(word_addr(events[ahead].addr));
+        ++prefetched;
+      }
+      if constexpr (kRle) {
+        for (std::uint32_t r = 0; r < reps[i]; ++r) process_one(events[i], sink);
+      } else {
+        process_one(events[i], sink);
+      }
+    }
+    batch.flush(deps);
+    return prefetched;
+  }
+
   /// Algorithm 1 for one access.  Every dependence record (including INIT)
   /// goes through `sink(key, flags, attribution)` instead of touching the
   /// map directly, so the batch kernel can aggregate records per batch while
@@ -262,30 +276,33 @@ class DetectorCore {
       sig_write_.clear();
       return;
     }
+    // Stores, routing and tags work on word units (common/hash.hpp); the
+    // event keeps its byte address, so the unit is derived here.
+    const std::uint64_t unit = word_addr(ev.addr);
     if (ev.is_free()) {
       // Variable-lifetime analysis: obsolete addresses leave the signatures
       // so later re-use of the memory does not fabricate dependences.
-      sig_read_.remove(ev.addr);
-      sig_write_.remove(ev.addr);
+      sig_read_.remove(unit);
+      sig_write_.remove(unit);
       return;
     }
     if (ev.is_write()) {
-      if (const Slot* w = sig_write_.find(ev.addr)) {
-        emit(ev, *w, DepType::kWaw, sink);
+      if (const Slot* w = sig_write_.find(unit)) {
+        emit(ev, unit, *w, DepType::kWaw, sink);
       } else {
         sink(init_key(ev), 0, DepAttribution{});
       }
-      if (const Slot* r = sig_read_.find(ev.addr)) {
-        emit(ev, *r, DepType::kWar, sink);
+      if (const Slot* r = sig_read_.find(unit)) {
+        emit(ev, unit, *r, DepType::kWar, sink);
       }
-      sig_write_.insert(ev.addr, make_slot<Slot>(ev, ctx_depth(ev.ctx)));
+      sig_write_.insert(unit, make_slot<Slot>(ev, unit));
     } else {
       // RAR dependences are ignored (Sec. III-B): most analyses do not need
       // them, so reads only consult the write signature.
-      if (const Slot* w = sig_write_.find(ev.addr)) {
-        emit(ev, *w, DepType::kRaw, sink);
+      if (const Slot* w = sig_write_.find(unit)) {
+        emit(ev, unit, *w, DepType::kRaw, sink);
       }
-      sig_read_.insert(ev.addr, make_slot<Slot>(ev, ctx_depth(ev.ctx)));
+      sig_read_.insert(unit, make_slot<Slot>(ev, unit));
     }
   }
 
@@ -341,10 +358,10 @@ class DetectorCore {
   };
 
   template <typename Sink>
-  void emit(const AccessEvent& sink_ev, const Slot& src, DepType type,
-            Sink&& sink) {
+  void emit(const AccessEvent& sink_ev, std::uint64_t sink_unit,
+            const Slot& src, DepType type, Sink&& sink) {
     DepAttribution at;
-    const std::uint8_t flags = classify_dep(src, sink_ev, at);
+    const std::uint8_t flags = classify_dep(src, sink_ev, sink_unit, at);
     DepKey k;
     k.sink_loc = sink_ev.loc;
     k.src_loc = src.loc;
@@ -366,20 +383,8 @@ class DetectorCore {
     return k;
   }
 
-  /// Nest depth of `ctx`, memoized for the run of events that share one
-  /// context (a loop body) so the slot build skips the forest lookup.
-  std::uint32_t ctx_depth(std::uint32_t ctx) {
-    if (ctx != depth_ctx_) {
-      depth_ctx_ = ctx;
-      depth_ = nest_forest().depth(ctx);
-    }
-    return depth_;
-  }
-
   Store sig_read_;
   Store sig_write_;
-  std::uint32_t depth_ctx_ = NestForest::kRoot;
-  std::uint32_t depth_ = 0;  ///< depth of depth_ctx_ (root: 0)
 };
 
 }  // namespace depprof

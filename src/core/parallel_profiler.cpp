@@ -263,19 +263,21 @@ class ParallelProfiler final : public IProfiler {
   static constexpr std::uint32_t kMailboxCount = 64;
   /// Scatter granularity: one routing pass + one counting sort per this many
   /// events.  Matches the instrumentation flush batch; the scratch buffers
-  /// (two event arrays + destinations) stay comfortably on the stack, which
+  /// (destinations + sorted indices) stay comfortably on the stack, which
   /// keeps the scatter path reentrant for concurrent MT producers.
   static constexpr std::size_t kScatterBatch = 256;
+  static_assert(kScatterBatch <= 65536, "scatter indices are 16-bit");
   /// Counting-sort scratch is stack-sized for this many workers; a (absurd)
   /// wider pipeline falls back to the per-event path.
   static constexpr unsigned kMaxScatterWorkers = 128;
 
-  /// The batched produce/route half of the hot path: canonicalize and route
-  /// the whole sub-batch once (route_batch hoists the override-table and
-  /// hash-kind branches), then counting-sort the events into contiguous
-  /// per-worker runs appended chunk-wise.  `reps` (nullable) carries the
-  /// front-end RLE run lengths: a run is routed once and expanded into raw
-  /// events as it is staged.
+  /// The batched produce/route half of the hot path: route the whole
+  /// sub-batch once on its word units (route_batch hoists the override-table
+  /// and hash-kind branches), counting-sort the event indices by worker, and
+  /// copy each record once, straight from the caller's batch into its
+  /// worker's chunk.  `reps` (nullable) carries the front-end RLE run
+  /// lengths: a run is routed once and expanded into raw events as it is
+  /// staged.
   /// Batches containing lock-region accesses or burst markers stage event
   /// by event instead: lock-region accesses must push the moment they are
   /// staged so access + push stay atomic (Fig. 4), and markers are
@@ -289,30 +291,26 @@ class ParallelProfiler final : public IProfiler {
   /// replays); one in the middle of a marker broadcast would hand pre-gap
   /// state to a worker that had already cleared.
   ///
-  /// Stage clocks are read per sub-batch, never per event: canonicalizing
+  /// Stage clocks are read per sub-batch, never per event: the batch scan
   /// and staging are produce time, routing and load balancing route time,
   /// and backpressure waits are left to block_ns.
   void scatter(ProduceStage& prod, const AccessEvent* events,
                const std::uint32_t* reps, std::size_t n) {
     const std::uint64_t t0 = WallTimer::now();
-    std::array<AccessEvent, kScatterBatch> unit;
-    std::array<unsigned, kScatterBatch> dest;
     bool lock_region = false;
     bool has_marker = false;
     for (std::size_t i = 0; i < n; ++i) {
-      // Canonicalize to the word-granular address unit once, here; routing,
-      // statistics, migration, and the detectors all operate on units.
-      unit[i] = events[i];
-      unit[i].addr = word_addr(events[i].addr);
-      lock_region |= (unit[i].flags & kInLockRegion) != 0;
-      has_marker |= unit[i].is_burst_mark();
+      lock_region |= (events[i].flags & kInLockRegion) != 0;
+      has_marker |= events[i].is_burst_mark();
     }
     const std::uint64_t t1 = WallTimer::now();
     const bool sample = lb_enabled_ && !cfg_.mt_targets;
-    router_.route_batch(unit.data(), n, dest.data());
+    std::array<unsigned, kScatterBatch> dest;
+    router_.route_batch(events, n, dest.data());
     if (sample)
       for (std::size_t i = 0; i < n; ++i)
-        if (!unit[i].is_burst_mark()) router_.record_access(unit[i].addr);
+        if (!events[i].is_burst_mark())
+          router_.record_access(word_addr(events[i].addr));
     const std::uint64_t t2 = WallTimer::now();
     std::uint64_t blocked = 0;
     const auto push = [&](Chunk* c, unsigned w) {
@@ -322,7 +320,7 @@ class ParallelProfiler final : public IProfiler {
     if (lock_region || has_marker || W > kMaxScatterWorkers) {
       // Per-event fallback.
       for (std::size_t i = 0; i < n; ++i) {
-        if (unit[i].is_burst_mark()) {
+        if (events[i].is_burst_mark()) {
           // A sampling gap cuts the WHOLE stream, so the marker is
           // broadcast: every worker's signatures hold addresses whose
           // pre-gap accesses must not pair with post-gap ones.  Staged
@@ -333,7 +331,7 @@ class ParallelProfiler final : public IProfiler {
           // lives in the runtime, and counting markers again would double
           // the stat on live runs.)
           for (unsigned w = 0; w < W; ++w)
-            if (Chunk* ready = prod.add(w, unit[i], chunk_fill_))
+            if (Chunk* ready = prod.add(w, events[i], chunk_fill_))
               push(ready, w);
           continue;
         }
@@ -344,16 +342,16 @@ class ParallelProfiler final : public IProfiler {
         // part-full chunk.
         const std::uint32_t rep = reps != nullptr ? reps[i] : 1;
         for (std::uint32_t r = 0; r < rep; ++r) {
-          Chunk* ready = prod.add(w, unit[i], chunk_fill_);
-          if (ready == nullptr && (unit[i].flags & kInLockRegion) != 0)
+          Chunk* ready = prod.add(w, events[i], chunk_fill_);
+          if (ready == nullptr && (events[i].flags & kInLockRegion) != 0)
             ready = prod.take(w);
           if (ready != nullptr) push(ready, w);
         }
       }
     } else {
-      // Counting sort into contiguous per-worker runs (stable, so
-      // per-worker program order is preserved — the soundness invariant of
-      // Fig. 2).
+      // Counting sort of the indices into contiguous per-worker runs
+      // (stable, so per-worker program order is preserved — the soundness
+      // invariant of Fig. 2).
       std::array<std::uint32_t, kMaxScatterWorkers> offset{};
       for (std::size_t i = 0; i < n; ++i) ++offset[dest[i]];
       std::uint32_t sum = 0;
@@ -362,21 +360,15 @@ class ParallelProfiler final : public IProfiler {
         offset[w] = sum;
         sum += c;
       }
-      std::array<AccessEvent, kScatterBatch> run;
-      std::array<std::uint32_t, kScatterBatch> run_reps;
+      std::array<std::uint16_t, kScatterBatch> order;
       std::array<std::uint32_t, kMaxScatterWorkers> start;
       for (unsigned w = 0; w < W; ++w) start[w] = offset[w];
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t slot = offset[dest[i]]++;
-        run[slot] = unit[i];
-        if (reps != nullptr) run_reps[slot] = reps[i];
-      }
+      for (std::size_t i = 0; i < n; ++i)
+        order[offset[dest[i]]++] = static_cast<std::uint16_t>(i);
       for (unsigned w = 0; w < W; ++w) {
         if (start[w] == offset[w]) continue;
-        const std::size_t len = offset[w] - start[w];
-        prod.add_run_rle(w, run.data() + start[w],
-                         reps != nullptr ? run_reps.data() + start[w] : nullptr,
-                         len, chunk_fill_, push);
+        prod.add_indexed(w, events, reps, order.data() + start[w],
+                         offset[w] - start[w], chunk_fill_, push);
       }
     }
     const std::uint64_t t3 = WallTimer::now();

@@ -47,58 +47,46 @@ class ProduceStage {
     return pending->count >= fill ? take(w) : nullptr;
   }
 
-  /// Appends a contiguous run of `n` events, all owned by worker `w`, to
-  /// its pending chunk — the batch path's bulk variant of add().  Chunks
-  /// that reach `fill` are handed to `push(chunk, w)` as the run is copied,
-  /// so a run longer than the remaining chunk room spans several chunks.
+  /// Appends the records `events[idx[0..n)]`, all owned by worker `w`, to
+  /// its pending chunk — the batch path's bulk variant of add(), reading
+  /// the caller's batch through the scatter order so each record is copied
+  /// once, straight into its chunk.  `reps` (nullable) are RLE run lengths:
+  /// each run is expanded back into identical raw events as it is copied,
+  /// since chunks carry only raw events (front-end dedup saves the
+  /// instrumentation, route and scatter work per instance, not queue
+  /// bytes).  Chunks that reach `fill` are handed to `push(chunk, w)` as
+  /// they fill, so a run can span several chunks.
   template <typename Push>
-  void add_run(unsigned w, const AccessEvent* events, std::size_t n,
-               std::size_t fill, Push&& push) {
+  void add_indexed(unsigned w, const AccessEvent* events,
+                   const std::uint32_t* reps, const std::uint16_t* idx,
+                   std::size_t n, std::size_t fill, Push&& push) {
     sched::point("produce.stage");
     Chunk*& pending = pending_[w];
-    while (n > 0) {
+    std::size_t k = 0;
+    std::size_t rep = reps != nullptr && n > 0 ? reps[idx[0]] : 1;
+    while (k < n) {
       if (pending == nullptr) pending = pool_->acquire();
-      const std::size_t room = std::min(n, fill - pending->count);
-      std::copy_n(events, room, pending->events.data() + pending->count);
-      pending->count += static_cast<std::uint32_t>(room);
-      events += room;
-      n -= room;
+      AccessEvent* dst = pending->events.data() + pending->count;
+      const std::size_t room = fill - pending->count;
+      std::size_t put = 0;
+      if (reps == nullptr) {
+        put = std::min(n - k, room);
+        for (std::size_t j = 0; j < put; ++j) dst[j] = events[idx[k + j]];
+        k += put;
+      } else {
+        while (put < room && k < n) {
+          const std::size_t m = std::min(rep, room - put);
+          std::fill_n(dst + put, m, events[idx[k]]);
+          put += m;
+          rep -= m;
+          if (rep == 0 && ++k < n) rep = reps[idx[k]];
+        }
+      }
+      pending->count += static_cast<std::uint32_t>(put);
       if (pending->count >= fill) {
         Chunk* full = pending;
         pending = nullptr;
         push(full, w);
-      }
-    }
-  }
-
-  /// Stages RLE records (`reps[i]` instances of `events[i]`; reps ==
-  /// nullptr means all 1), expanding each run back into identical raw
-  /// events as it is copied: chunks carry only raw events, so front-end
-  /// dedup saves the instrumentation, route and scatter work per instance,
-  /// not queue bytes.
-  template <typename Push>
-  void add_run_rle(unsigned w, const AccessEvent* events,
-                   const std::uint32_t* reps, std::size_t n, std::size_t fill,
-                   Push&& push) {
-    if (reps == nullptr) {
-      add_run(w, events, n, fill, std::forward<Push>(push));
-      return;
-    }
-    sched::point("produce.stage");
-    Chunk*& pending = pending_[w];
-    for (std::size_t i = 0; i < n; ++i) {
-      std::size_t rep = reps[i];
-      while (rep > 0) {
-        if (pending == nullptr) pending = pool_->acquire();
-        const std::size_t room = std::min(rep, fill - pending->count);
-        std::fill_n(pending->events.data() + pending->count, room, events[i]);
-        pending->count += static_cast<std::uint32_t>(room);
-        rep -= room;
-        if (pending->count >= fill) {
-          Chunk* full = pending;
-          pending = nullptr;
-          push(full, w);
-        }
       }
     }
   }
@@ -267,21 +255,22 @@ class RouteStage {
                                : hashed_worker(addr, workers_);
   }
 
-  /// Routes a whole batch of canonicalized events in one pass — the scatter
-  /// half of the batched hot path.  The override-table check and the routing-
-  /// function branch are hoisted out of the loop: while the balancer is
-  /// inactive (the common case, and always once max_rounds is exhausted)
-  /// each event costs exactly one modulo/mix, no table probe.
+  /// Routes a whole batch of events by their word units in one pass — the
+  /// scatter half of the batched hot path.  The override-table check and
+  /// the routing-function branch are hoisted out of the loop: while the
+  /// balancer is inactive (the common case, and always once max_rounds is
+  /// exhausted) each event costs exactly one modulo/mix, no table probe.
   void route_batch(const AccessEvent* events, std::size_t count,
                    unsigned* dest) const {
     if (!overrides_.empty()) {
-      for (std::size_t i = 0; i < count; ++i) dest[i] = route(events[i].addr);
+      for (std::size_t i = 0; i < count; ++i)
+        dest[i] = route(word_addr(events[i].addr));
     } else if (cfg_.modulo_routing) {
       for (std::size_t i = 0; i < count; ++i)
-        dest[i] = modulo_worker(events[i].addr, workers_);
+        dest[i] = modulo_worker(word_addr(events[i].addr), workers_);
     } else {
       for (std::size_t i = 0; i < count; ++i)
-        dest[i] = hashed_worker(events[i].addr, workers_);
+        dest[i] = hashed_worker(word_addr(events[i].addr), workers_);
     }
   }
 
@@ -486,16 +475,19 @@ class DetectStage {
   DetectStage(Store sig_read, Store sig_write, obs::StageStats& stats)
       : core_(std::move(sig_read), std::move(sig_write)), stats_(&stats) {}
 
-  void process(const AccessEvent* events, std::size_t count) {
+  /// Runs one batch; `reps` (nullable) are RLE run lengths and `logical`
+  /// the instances they stand for (count when reps is null).
+  void process(const AccessEvent* events, std::size_t count,
+               const std::uint32_t* reps = nullptr, std::size_t logical = 0) {
     // Both clock domains (see obs/stage_stats.hpp): wall busy_ns pairs with
     // the wall idle_ns for consistent busy/idle ratios; thread-CPU cpu_ns
     // excludes preemption and feeds the simulated parallel time.
     const std::uint64_t w0 = WallTimer::now();
     const std::uint64_t c0 = ThreadCpuTimer::now();
-    stats_->add_prefetches(core_.process_batch(events, count, deps_));
+    stats_->add_prefetches(core_.process_batch(events, count, deps_, reps));
     stats_->add_cpu_ns(ThreadCpuTimer::now() - c0);
     stats_->add_busy_ns(WallTimer::now() - w0);
-    stats_->add_events(count);
+    stats_->add_events(reps == nullptr ? count : logical);
     stats_->add_chunks(1);
   }
 

@@ -83,10 +83,10 @@ struct ProfilerConfig {
   bool modulo_routing = false;
   /// Front-end redundancy elision: exact repeats of an access (same word,
   /// kind, loc, var, tid, loop context) are run-length encoded before they
-  /// enter the profiler (on_batch_rle), so canonicalization and routing
-  /// handle one record per run instead of one per instance; runs are
-  /// expanded back into raw events when they are staged into chunks, so the
-  /// queues and the detect kernel see the full stream.  Map-preserving (see
+  /// enter the profiler (on_batch_rle), so routing handles one record per
+  /// run instead of one per instance; runs are expanded back into raw
+  /// events when they are staged into chunks or detected, so the queues and
+  /// the detect kernel see the full stream.  Map-preserving (see
   /// DESIGN.md "Front-end event reduction"); the flag exists for the
   /// frontend ablation and the depfuzz dedup axis.
   bool dedup = true;

@@ -4,11 +4,8 @@
 // resolved once at construction (core/store_factory.hpp), so the detect
 // loop is one monomorphized DetectorCore instantiation.
 
-#include <algorithm>
-#include <array>
-
-#include "common/hash.hpp"
 #include "common/huge_alloc.hpp"
+#include "common/timer.hpp"
 #include "core/pipeline.hpp"
 #include "core/profiler.hpp"
 #include "core/store_factory.hpp"
@@ -31,64 +28,32 @@ class SerialProfiler final : public IProfiler {
 
   void on_batch(const AccessEvent* events, std::size_t count) override {
     if (count == 0) return;
+    // The batch is detected where it lies: detection derives word units
+    // itself, so produce only accounts for the hand-off.
+    const std::uint64_t t0 = WallTimer::now();
     obs_.produce().add_events(count);
     obs_.produce().add_chunks(1);
     // No queue between produce and detect here, so the "wire" cost is the
     // raw event bytes handed across the stage boundary.
     obs_.produce().add_bytes_on_wire(count * sizeof(AccessEvent));
-    // Canonicalize to the word-granular address unit once, here.  The copy
-    // is the produce stage's work, timed per unit batch (detect times
-    // itself).
-    std::array<AccessEvent, kUnitBatch> unit;
-    while (count > 0) {
-      const std::uint64_t t0 = WallTimer::now();
-      const std::size_t n = std::min(count, unit.size());
-      for (std::size_t i = 0; i < n; ++i) {
-        unit[i] = events[i];
-        unit[i].addr = word_addr(events[i].addr);
-      }
-      obs_.produce().add_busy_ns(WallTimer::now() - t0);
-      detect_.process(unit.data(), n);
-      events += n;
-      count -= n;
-    }
+    obs_.produce().add_busy_ns(WallTimer::now() - t0);
+    detect_.process(events, count);
   }
 
   void on_batch_rle(const AccessEvent* events, const std::uint32_t* reps,
                     std::size_t count) override {
     if (count == 0) return;
+    const std::uint64_t t0 = WallTimer::now();
     std::uint64_t logical = 0;
     for (std::size_t i = 0; i < count; ++i) logical += reps[i];
     obs_.produce().add_events(logical);
     obs_.produce().add_chunks(1);
     obs_.produce().add_events_deduped(logical - count);
-    // One record per RLE run crosses the stage boundary.
+    // One record per RLE run crosses the stage boundary; the detect kernel
+    // expands the runs in place.
     obs_.produce().add_bytes_on_wire(count * sizeof(AccessEvent));
-    // Expand runs during the canonicalization copy: the detect kernel
-    // consumes the same raw event stream either way.  The copy is produce
-    // time, clocked around each handed-off unit batch.
-    std::array<AccessEvent, kUnitBatch> unit;
-    std::size_t fill = 0;
-    std::uint64_t t0 = WallTimer::now();
-    const auto hand_off = [&] {
-      obs_.produce().add_busy_ns(WallTimer::now() - t0);
-      detect_.process(unit.data(), fill);
-      fill = 0;
-      t0 = WallTimer::now();
-    };
-    for (std::size_t i = 0; i < count; ++i) {
-      AccessEvent ev = events[i];
-      ev.addr = word_addr(events[i].addr);
-      std::uint32_t rep = reps[i];
-      while (rep > 0) {
-        const std::size_t n = std::min<std::size_t>(rep, unit.size() - fill);
-        std::fill_n(unit.data() + fill, n, ev);
-        fill += n;
-        rep -= static_cast<std::uint32_t>(n);
-        if (fill == unit.size()) hand_off();
-      }
-    }
-    if (fill > 0) hand_off();
+    obs_.produce().add_busy_ns(WallTimer::now() - t0);
+    detect_.process(events, count, reps, logical);
   }
 
   void finish() override {
@@ -132,11 +97,6 @@ class SerialProfiler final : public IProfiler {
   }
 
  private:
-  // Matches Chunk capacity: bigger batches amortize the batched kernel's
-  // per-batch record-table flush over more events (the INIT key space is
-  // small, so instances-per-key grows with the batch).
-  static constexpr std::size_t kUnitBatch = 1024;
-
   obs::PipelineObs obs_;
   DetectStage<Store> detect_;
   MergeStage merge_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "common/hash.hpp"
 #include "common/timer.hpp"
@@ -26,6 +27,8 @@ Runtime::ThreadState& Runtime::thread_state() {
     state.tid = next_tid_.fetch_add(1, std::memory_order_relaxed);
     state.lock_depth = 0;
     state.loop_stack.clear();
+    state.ctx = NestForest::kRoot;
+    state.iter = 0;
     state.call_stack.clear();
     state.buffer.discard();
     state.cache.invalidate_all();
@@ -67,6 +70,34 @@ void Runtime::forget_thread(ThreadState& state) {
                  threads_.end());
 }
 
+void Runtime::start_session(ThreadState& ts, std::uint64_t session) {
+  ts.session = session;
+  ts.cache.invalidate_all();
+  ts.unit_pos = 0;
+  ts.unit_off = false;
+  ts.ctl_wall_ns = 0;
+  ts.ctl_cost_ns = 0;
+  ts.ctl_ewma = 0.0;
+}
+
+void Runtime::set_cursor(ThreadState& ts) {
+  const std::size_t depth = ts.loop_stack.size();
+  if (depth == 0) {
+    ts.ctx = NestForest::kRoot;
+    ts.iter = 0;
+    return;
+  }
+  ts.ctx = ts.loop_stack.back().node;
+  ts.iter = ts.loop_stack[std::min(depth, kNestIters) - 1].iter;
+}
+
+std::uint64_t Runtime::next_timestamp() {
+  const std::uint64_t t = timestamp_.fetch_add(1, std::memory_order_relaxed);
+  if (t > kEventFieldMax)
+    throw std::length_error("Runtime: 48-bit event timestamp space exhausted");
+  return t;
+}
+
 void Runtime::drain_in_flight_locked() {
   for (ThreadState* ts : threads_)
     while (ts->in_flight.load(std::memory_order_seq_cst)) {
@@ -79,21 +110,20 @@ void Runtime::attach(AccessSink* sink, bool mt_mode, bool dedup,
     // Buffers may still hold events of a previous session whose sink is
     // gone; they must not leak into the new one.  Late record() calls of
     // that session must have finished with their buffers before we discard.
+    // Only state that the owner touches inside SinkUse windows is reset
+    // here; the rest each thread resets itself (own_session).
     std::lock_guard lock(buffers_mu_);
     drain_in_flight_locked();
     for (ThreadState* ts : threads_) {
       ts->buffer.discard();
-      ts->cache.invalidate_all();
-      ts->unit_pos = 0;
-      ts->unit_off = false;
       ts->pending_gap = false;
       ts->sampled_out = 0;
       ts->gaps_closed = 0;
-      ts->ctl_wall_ns = 0;
-      ts->ctl_cost_ns = 0;
-      ts->ctl_ewma = 0.0;
     }
   }
+  // Before the sink is published: a thread that sees the new sink also
+  // sees the new session.
+  session_.fetch_add(1, std::memory_order_release);
   mt_mode_.store(mt_mode, std::memory_order_relaxed);
   // In mt_mode every event carries a fresh timestamp, so no two events are
   // ever identical — the cache could only miss.  Keep it off entirely.
@@ -126,15 +156,14 @@ void Runtime::detach() {
   {
     std::lock_guard lock(buffers_mu_);
     drain_in_flight_locked();
+    // The flushed buffers' dedup caches go stale; no record can reach
+    // them before the next attach, whose session change resets them.
     for (ThreadState* ts : threads_) {
       if (sink != nullptr) ts->buffer.flush(*sink);
-      ts->cache.invalidate_all();
       sampled_out += ts->sampled_out;
       gaps += ts->gaps_closed;
       ts->sampled_out = 0;
       ts->gaps_closed = 0;
-      ts->unit_pos = 0;
-      ts->unit_off = false;
       ts->pending_gap = false;
     }
   }
@@ -172,9 +201,10 @@ void Runtime::record(const void* addr, std::size_t size, std::uint32_t file,
   ThreadState& ts = thread_state();
   SinkUse use(*this, ts);
   if (use.sink() == nullptr) return;  // detached after the enabled() check
-  // The sampling gate reads and writes state that attach()/detach() reset
-  // from another thread; inside the SinkUse window their in-flight drain
-  // orders those resets against this access.
+  own_session(ts);
+  // The gap counters are reset by attach()/detach() from another thread;
+  // inside the SinkUse window their in-flight drain orders those resets
+  // against this access.
   if (ts.unit_off && !ts.loop_stack.empty()) {
     // Inside a skipped sampling unit: drop without touching the sink.
     ts.sampled_out += 1;
@@ -182,22 +212,21 @@ void Runtime::record(const void* addr, std::size_t size, std::uint32_t file,
     return;
   }
   if (ts.pending_gap) close_gap(ts, *use.sink());
+  const auto byte_addr = reinterpret_cast<std::uintptr_t>(addr);
+  if (byte_addr > kEventFieldMax)
+    throw std::length_error("Runtime: address beyond the 48-bit event field");
+  // Assembled in registers and stored once, straight into the buffer's
+  // next slot (no staging copy); a dedup hit stores nothing.
   AccessEvent ev;
-  ev.addr = reinterpret_cast<std::uintptr_t>(addr);
+  ev.addr = byte_addr;
+  ev.kind = is_write ? AccessKind::kWrite : AccessKind::kRead;
+  ev.flags = ts.lock_depth > 0 ? kInLockRegion : 0;
+  ev.ts = mt_mode_.load(std::memory_order_relaxed) ? next_timestamp() : 0;
+  ev.tid = ts.tid;
   ev.loc = SourceLocation(file, line).packed();
   ev.var = var;
-  ev.kind = is_write ? AccessKind::kWrite : AccessKind::kRead;
-  ev.tid = ts.tid;
-  const std::size_t depth = ts.loop_stack.size();
-  if (depth > 0) {
-    ev.ctx = ts.loop_stack.back().node;
-    // Root-anchored iteration window: outermost loop first (event.hpp).
-    for (std::size_t i = 0; i < kNestIters && i < depth; ++i)
-      ev.iters[i] = ts.loop_stack[i].iter;
-  }
-  if (mt_mode_.load(std::memory_order_relaxed))
-    ev.ts = timestamp_.fetch_add(1, std::memory_order_relaxed);
-  if (ts.lock_depth > 0) ev.flags |= kInLockRegion;
+  ev.ctx = ts.ctx;
+  ev.iter = ts.iter;
   if (dedup_.load(std::memory_order_relaxed) && dedup_eligible(ev)) {
     // Front-end redundancy elision: an exact repeat of the most recent
     // buffered access to this word only bumps that record's rep counter.
@@ -228,6 +257,7 @@ void Runtime::record_free(const void* addr, std::size_t size) {
   ThreadState& ts = thread_state();
   SinkUse use(*this, ts);
   if (use.sink() == nullptr) return;  // detached after the enabled() check
+  own_session(ts);
   if (ts.unit_off && !ts.loop_stack.empty()) {
     // A free inside a skipped unit is dropped like any other event (inside
     // the SinkUse window, as in record()): the burst marker that closes the
@@ -239,6 +269,8 @@ void Runtime::record_free(const void* addr, std::size_t size) {
   }
   if (ts.pending_gap) close_gap(ts, *use.sink());
   const auto base = reinterpret_cast<std::uintptr_t>(addr);
+  if (size > 0 && base + (size - 1) > kEventFieldMax)
+    throw std::length_error("Runtime: address beyond the 48-bit event field");
   // One lifetime event per 4-byte word overlapped by [base, base+size),
   // matching the signature's address granularity (hash_address discards the
   // low two bits).  The span is derived from word(base)..word(base+size-1):
@@ -257,7 +289,7 @@ void Runtime::record_free(const void* addr, std::size_t size) {
     ev.addr = w << 2;
     ev.kind = AccessKind::kFree;
     ev.tid = ts.tid;
-    if (mt) ev.ts = timestamp_.fetch_add(1, std::memory_order_relaxed);
+    if (mt) ev.ts = next_timestamp();
     // A free inside a lock region needs the same treatment as an access
     // (Fig. 4): flag it so the parallel producer keeps it on the in-order
     // immediate path, and push before the target can release the lock.
@@ -327,6 +359,7 @@ void Runtime::controller_tick(ThreadState& ts, unsigned burst) {
 
 void Runtime::loop_begin(std::uint32_t file, std::uint32_t line) {
   ThreadState& ts = thread_state();
+  own_session(ts);
   ts.cache.invalidate_all();  // dedup never crosses a loop-context change
   // A fresh outermost-loop invocation starts a new sampling unit.
   if (ts.loop_stack.empty() && sampling_on_.load(std::memory_order_relaxed))
@@ -340,6 +373,7 @@ void Runtime::loop_begin(std::uint32_t file, std::uint32_t line) {
       ts.loop_stack.empty() ? 0 : ts.loop_stack.back().iter;
   const std::uint32_t node = nest_forest().enter(parent_node, loc, parent_iter);
   ts.loop_stack.push_back({loc, node, 0});
+  set_cursor(ts);
   std::lock_guard lock(cf_mu_);
   auto [it, inserted] = loops_.try_emplace(loc);
   if (inserted) {
@@ -352,6 +386,7 @@ void Runtime::loop_begin(std::uint32_t file, std::uint32_t line) {
 
 void Runtime::loop_iter() {
   ThreadState& ts = thread_state();
+  own_session(ts);
   ts.cache.invalidate_all();  // dedup never crosses an iteration advance
   if (ts.loop_stack.empty()) {
     // A thread entering mid-loop (MT targets) sees iteration markers of a
@@ -367,10 +402,12 @@ void Runtime::loop_iter() {
       sampling_on_.load(std::memory_order_relaxed))
     begin_unit(ts);
   ts.loop_stack.back().iter += 1;
+  set_cursor(ts);
 }
 
 void Runtime::loop_end(std::uint32_t file, std::uint32_t line) {
   ThreadState& ts = thread_state();
+  own_session(ts);
   ts.cache.invalidate_all();  // dedup never crosses a loop-context change
   if (ts.loop_stack.empty()) {
     // Mid-loop thread (see loop_iter): there is no frame to pop, and
@@ -381,6 +418,7 @@ void Runtime::loop_end(std::uint32_t file, std::uint32_t line) {
   }
   const ActiveLoop top = ts.loop_stack.back();
   ts.loop_stack.pop_back();
+  set_cursor(ts);
   // Leaving the outermost loop ends the current sampling unit; code outside
   // any loop is always profiled (the gate additionally requires a nonempty
   // stack, so a stale unit_off could never drop root-level events — this
@@ -420,6 +458,7 @@ void Runtime::sync_point() {
   ThreadState& ts = thread_state();
   SinkUse use(*this, ts);
   if (AccessSink* sink = use.sink()) {
+    own_session(ts);
     ts.buffer.flush(*sink);
     ts.cache.invalidate_all();
     sink->on_unlock(ts.tid);
@@ -435,6 +474,7 @@ void Runtime::lock_exit() {
   // Push buffered accesses before the target releases the lock (Fig. 4).
   SinkUse use(*this, ts);
   if (AccessSink* sink = use.sink()) {
+    own_session(ts);
     ts.buffer.flush(*sink);
     ts.cache.invalidate_all();
     sink->on_unlock(ts.tid);
@@ -492,7 +532,9 @@ ControlFlowLog Runtime::control_flow() const {
   return log;
 }
 
-void Runtime::reset() {
+void Runtime::reset() { reset(StartAt{1}); }
+
+void Runtime::reset(StartAt start) {
   std::lock_guard lock(cf_mu_);
   loops_.clear();
   nest_edges_.clear();
@@ -500,7 +542,7 @@ void Runtime::reset() {
   stray_ends_ = 0;
   reduction_lines_.clear();
   call_tree_.clear();
-  timestamp_.store(1, std::memory_order_relaxed);
+  timestamp_.store(start.next_ts, std::memory_order_relaxed);
   next_tid_.store(0, std::memory_order_relaxed);
   // The nest forest is deliberately NOT cleared: it is append-only and
   // process-wide, so context ids inside recorded traces stay valid across

@@ -152,6 +152,13 @@ class Runtime {
   /// called while a sink is attached.
   void reset();
 
+  /// Test hook: reset() with the next MT timestamp at `next_ts`, so the
+  /// 48-bit timestamp bound can be exercised without 2^48 accesses.
+  struct StartAt {
+    std::uint64_t next_ts;
+  };
+  void reset(StartAt start);
+
  private:
   Runtime() = default;
 
@@ -167,6 +174,10 @@ class Runtime {
     int lock_depth = 0;
     bool registered = false;
     std::vector<ActiveLoop> loop_stack;
+    /// What record() stamps into AccessEvent::ctx / ::iter, kept in step
+    /// with loop_stack by the loop hooks (set_cursor).
+    std::uint32_t ctx = 0;
+    std::uint32_t iter = 0;
     std::vector<std::uint32_t> call_stack;  // CallTree node indices
     /// Per-thread chunk buffer: events accumulate here and flush through
     /// AccessSink::on_batch — the same chunk path trace replay uses.
@@ -177,6 +188,12 @@ class Runtime {
     /// record_free for the freed span.
     DedupCache cache;
     // --- overhead-budget sampling (see SamplingConfig) -------------------
+    /// Session (attach) these thread-owned fields belong to.  Only the
+    /// owning thread writes unit_pos, unit_off, the ctl_* fields and the
+    /// dedup cache: it resets them itself at its first hook of a new
+    /// session (own_session), because the loop hooks use them outside any
+    /// SinkUse window, where attach()/detach() could not order a reset.
+    std::uint64_t session = 0;
     unsigned unit_pos = 0;    ///< index of the next unit within the B+K cycle
     bool unit_off = false;    ///< current unit is being skipped
     bool pending_gap = false;  ///< >=1 event dropped since the last kept one
@@ -228,6 +245,18 @@ class Runtime {
 
   ThreadState& thread_state();
   void forget_thread(ThreadState& state);
+  /// Resets the thread-owned sampling state and dedup cache of `ts` when a
+  /// new session began since its last hook (see ThreadState::session).
+  void own_session(ThreadState& ts) {
+    const std::uint64_t session = session_.load(std::memory_order_acquire);
+    if (ts.session != session) start_session(ts, session);
+  }
+  void start_session(ThreadState& ts, std::uint64_t session);
+  /// Points the thread's ctx/iter cursor at the top of its loop stack.
+  static void set_cursor(ThreadState& ts);
+  /// Next MT timestamp; throws std::length_error once the 48-bit event
+  /// field is exhausted rather than wrap.
+  std::uint64_t next_timestamp();
   /// Starts the next sampling unit on `ts`: decides whether it is profiled
   /// or skipped, and runs the adaptive controller at each cycle boundary.
   void begin_unit(ThreadState& ts);
@@ -260,6 +289,8 @@ class Runtime {
   std::atomic<std::uint64_t> exited_gaps_closed_{0};
   std::atomic<std::uint64_t> timestamp_{1};
   std::atomic<std::uint64_t> epoch_{1};
+  /// Bumped by every attach(); see ThreadState::session.
+  std::atomic<std::uint64_t> session_{1};
   std::atomic<std::uint16_t> next_tid_{0};
 
   /// Guards the live-thread registry so attach/detach can discard or flush

@@ -294,8 +294,8 @@ bool parse_nest_line(const std::vector<std::string_view>& toks,
 }
 
 bool parse_event_line(const std::vector<std::string_view>& toks,
-                      AccessEvent& ev, const NestParseState& nest,
-                      std::string& err) {
+                      AccessEvent& ev, std::uint32_t (&window)[kNestIters],
+                      const NestParseState& nest, std::string& err) {
   if (toks.size() < 2) {
     err = "bad event token 'missing event kind'";
     return false;
@@ -317,14 +317,16 @@ bool parse_event_line(const std::vector<std::string_view>& toks,
     if (!note_key(keys, key, err)) return false;
     std::uint64_t u = 0;
     bool ok = true;
-    if (key == "addr") ok = parse_u64(value, ev.addr);
+    if (key == "addr")
+      ok = parse_u64(value, u) && u <= kEventFieldMax, ev.addr = u;
     else if (key == "loc")
       ok = parse_u64(value, u), ev.loc = static_cast<std::uint32_t>(u);
     else if (key == "var")
       ok = parse_u64(value, u), ev.var = static_cast<std::uint32_t>(u);
     else if (key == "tid")
       ok = parse_u64(value, u), ev.tid = static_cast<std::uint16_t>(u);
-    else if (key == "ts") ok = parse_u64(value, ev.ts);
+    else if (key == "ts")
+      ok = parse_u64(value, u) && u <= kEventFieldMax, ev.ts = u;
     else if (key == "flags")
       ok = parse_u64(value, u), ev.flags = static_cast<std::uint8_t>(u);
     else if (key == "ctx") {
@@ -340,7 +342,7 @@ bool parse_event_line(const std::vector<std::string_view>& toks,
       const char* p = s.c_str();
       char* end = nullptr;
       while (*p != '\0' && idx < kNestIters) {
-        ev.iters[idx++] = static_cast<std::uint32_t>(std::strtoul(p, &end, 0));
+        window[idx++] = static_cast<std::uint32_t>(std::strtoul(p, &end, 0));
         if (end == p) break;
         p = *end == ',' ? end + 1 : end;
       }
@@ -405,15 +407,16 @@ std::string format_repro(const ReproCase& repro) {
   static_assert(kNestIters == 7, "update the iters= format below");
   for (const AccessEvent& ev : repro.trace.events) {
     const char kind = ev.is_free() ? 'F' : ev.is_write() ? 'W' : 'R';
+    std::uint32_t w[kNestIters];
+    forest.window(ev.ctx, ev.iter, w);
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "ev %c addr=0x%llx loc=%u var=%u tid=%u ts=%llu flags=%u "
                   "ctx=%u iters=%u,%u,%u,%u,%u,%u,%u\n",
                   kind, static_cast<unsigned long long>(ev.addr), ev.loc,
                   ev.var, ev.tid, static_cast<unsigned long long>(ev.ts),
-                  ev.flags, local_id[ev.ctx], ev.iters[0], ev.iters[1],
-                  ev.iters[2], ev.iters[3], ev.iters[4], ev.iters[5],
-                  ev.iters[6]);
+                  ev.flags, local_id[ev.ctx], w[0], w[1], w[2], w[3], w[4],
+                  w[5], w[6]);
     os << buf;
   }
   return os.str();
@@ -500,12 +503,14 @@ bool parse_repro(ReproCase& out, std::string_view text, std::string* error) {
     } else if (toks[0] == "ev") {
       if (!after_config("ev")) return false;
       AccessEvent ev;
-      if (!parse_event_line(toks, ev, nest, err))
+      std::uint32_t window[kNestIters] = {};
+      if (!parse_event_line(toks, ev, window, nest, err))
         return set_error(error, line_no, err);
-      if (!nest.table.observe(ev.ctx, ev.iters))
+      if (!nest.table.observe(ev.ctx, window))
         return set_error(error, line_no,
                          "event iters contradict an earlier event's ancestor "
                          "iterations in the same nest entry");
+      ev.iter = window_iter(nest.table.depth(ev.ctx), window);
       repro.trace.events.push_back(ev);
     } else {
       return set_error(error, line_no,

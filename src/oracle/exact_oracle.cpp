@@ -20,10 +20,8 @@ struct OracleAttr {
   bool distance_known = true;
 };
 
-OracleAttr oracle_attribute(std::uint32_t src_ctx,
-                            const std::uint32_t* src_iters,
-                            std::uint32_t sink_ctx,
-                            const std::uint32_t* sink_iters) {
+OracleAttr oracle_attribute(std::uint32_t src_ctx, std::uint32_t src_iter,
+                            std::uint32_t sink_ctx, std::uint32_t sink_iter) {
   OracleAttr r;
   const NestForest& forest = nest_forest();
   // Ancestor chain of the source context, innermost first.
@@ -32,16 +30,21 @@ OracleAttr oracle_attribute(std::uint32_t src_ctx,
        c = forest.parent(c))
     chain.push_back(c);
   // Walk the sink's chain outward; the first hit in the source chain is the
-  // deepest common entry.
+  // deepest common entry.  An endpoint's iteration at that entry's level is
+  // its own iteration when the entry is its context, else the entry
+  // iteration of its chain's node just below (the event.hpp invariant).
+  std::uint32_t below = NestForest::kRoot;  // sink chain node under c
   for (std::uint32_t c = sink_ctx; c != NestForest::kRoot;
-       c = forest.parent(c)) {
+       below = c, c = forest.parent(c)) {
     for (std::size_t i = 0; i < chain.size(); ++i) {
       if (chain[i] != c) continue;
       r.loop = forest.loop(c);
       r.level = forest.depth(c);
       if (r.level <= kNestIters) {
-        const std::uint32_t ia = src_iters[r.level - 1];
-        const std::uint32_t ib = sink_iters[r.level - 1];
+        const std::uint32_t ia =
+            i == 0 ? src_iter : forest.entry_iter(chain[i - 1]);
+        const std::uint32_t ib =
+            c == sink_ctx ? sink_iter : forest.entry_iter(below);
         r.distance = ib > ia ? ib - ia : ia - ib;
       } else {
         r.distance_known = false;
@@ -61,14 +64,14 @@ ExactOracle::LastAccess ExactOracle::remember(const AccessEvent& ev) {
   a.flags = ev.flags;
   a.ts = ev.ts;
   a.ctx = ev.ctx;
-  for (std::size_t i = 0; i < kNestIters; ++i) a.iters[i] = ev.iters[i];
+  a.iter = ev.iter;
   return a;
 }
 
 void ExactOracle::emit(const AccessEvent& sink, const LastAccess& src,
                        DepType type) {
   const OracleAttr attr =
-      oracle_attribute(src.ctx, src.iters, sink.ctx, sink.iters);
+      oracle_attribute(src.ctx, src.iter, sink.ctx, sink.iter);
   std::uint8_t flags = 0;
   if (attr.loop != 0 && (!attr.distance_known || attr.distance != 0))
     flags |= kLoopCarried;

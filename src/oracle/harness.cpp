@@ -33,14 +33,22 @@ struct UnitStats {
 
 /// Depth-1 ancestor of a nest context — the outermost-loop invocation the
 /// event executed under (kRoot for events outside any loop, or for context
-/// ids the forest never interned, which only corrupt input can produce).
-std::uint32_t outermost_invocation(const NestForest& forest,
-                                   std::uint32_t ctx) {
-  if (ctx == NestForest::kRoot || ctx >= forest.size())
-    return NestForest::kRoot;
-  std::uint32_t c = ctx;
-  while (forest.parent(c) != NestForest::kRoot) c = forest.parent(c);
-  return c;
+/// ids the forest never interned, which only corrupt input can produce) —
+/// and the event's iteration of it: its own iteration at depth 1, else the
+/// entry iteration of its depth-2 ancestor.
+struct Invocation {
+  std::uint32_t root = NestForest::kRoot;
+  std::uint32_t iter = 0;
+};
+Invocation outermost_invocation(const NestForest& forest,
+                                const AccessEvent& ev) {
+  if (ev.ctx == NestForest::kRoot || ev.ctx >= forest.size()) return {};
+  Invocation inv{ev.ctx, ev.iter};
+  while (forest.parent(inv.root) != NestForest::kRoot) {
+    inv.iter = forest.entry_iter(inv.root);
+    inv.root = forest.parent(inv.root);
+  }
+  return inv;
 }
 
 UnitStats unit_stats(const Trace& trace) {
@@ -104,17 +112,18 @@ Trace sample_stream(const Trace& trace, unsigned burst, unsigned skip) {
   bool off = false;       // current unit is skipped
   bool pending_gap = false;
   for (const AccessEvent& ev : trace.events) {
-    const std::uint32_t root = outermost_invocation(forest, ev.ctx);
+    const Invocation inv = outermost_invocation(forest, ev);
+    const std::uint32_t root = inv.root;
     if (root == NestForest::kRoot) {
       // Outside any loop: always profiled, and any open unit is over.
       in_unit = false;
       off = false;
-    } else if (!in_unit || root != unit_root || ev.iters[0] != unit_iter) {
+    } else if (!in_unit || root != unit_root || inv.iter != unit_iter) {
       // New unit: a fresh outermost-loop invocation (each dynamic entry is
       // a fresh forest node) or the next iteration of the current one.
       in_unit = true;
       unit_root = root;
-      unit_iter = ev.iters[0];
+      unit_iter = inv.iter;
       off = pos >= burst;
       pos += 1;
       if (pos >= cycle) pos = 0;

@@ -22,10 +22,10 @@ std::vector<AccessEvent> without_range(const std::vector<AccessEvent>& events,
 
 /// Rewrites every event onto a depth-1 nest: each dynamic context is
 /// replaced by a fresh entry of its innermost loop directly under the root,
-/// and the innermost iteration moves to window slot 0.  Distinct dynamic
-/// entries stay distinct, so same-entry/different-entry relationships (and
-/// hence carried-vs-independent classification at the innermost level)
-/// survive; only the enclosing levels are discarded.
+/// keeping the innermost iteration.  Distinct dynamic entries stay
+/// distinct, so same-entry/different-entry relationships (and hence
+/// carried-vs-independent classification at the innermost level) survive;
+/// only the enclosing levels are discarded.
 Trace flatten_nest(const Trace& t) {
   NestForest& forest = nest_forest();
   std::unordered_map<std::uint32_t, std::uint32_t> flat;  // ctx -> flat ctx
@@ -37,11 +37,8 @@ Trace flatten_nest(const Trace& t) {
       auto [it, fresh] = flat.try_emplace(ev.ctx, NestForest::kRoot);
       if (fresh)
         it->second = forest.enter(NestForest::kRoot, forest.loop(ev.ctx), 0);
-      const std::uint32_t inner =
-          depth >= 1 && depth <= kNestIters ? ev.iters[depth - 1] : 0;
       ev.ctx = it->second;
-      ev.iters[0] = inner;
-      for (std::size_t i = 1; i < kNestIters; ++i) ev.iters[i] = 0;
+      if (depth > kNestIters) ev.iter = 0;
     }
     out.events.push_back(ev);
   }

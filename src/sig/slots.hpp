@@ -14,7 +14,8 @@
 // accessing thread id and the global timestamp used for race detection.
 // The iterations of enclosing levels are not stored: they are a property of
 // the loop entry, not of the access, so the detector reads them from the
-// forest's `entry_iter` (event.hpp's window invariant).  That keeps the
+// forest's `entry_iter` (event.hpp's entry invariant), for the recorded
+// source and the current sink alike.  That keeps the
 // sequential slot at 16 bytes and the MT slot at 32 — a small constant, so
 // the signature's bounded-memory property is unchanged; only the constant
 // differs from the paper's 4 bytes.
@@ -47,7 +48,8 @@ struct SeqSlot {
   std::uint32_t loc = 0;  ///< packed SourceLocation of the last access; 0 = empty
   std::uint32_t tag = 0;  ///< addr_tag of the recorded address
   std::uint32_t ctx = 0;  ///< innermost dynamic loop entry (NestForest id)
-  /// Iteration at ctx's own depth, clamped to the event window (make_slot).
+  /// The access's AccessEvent::iter: its iteration at ctx's depth, or at
+  /// depth kNestIters for deeper contexts.
   std::uint32_t iter = 0;
 
   bool empty() const { return loc == 0; }

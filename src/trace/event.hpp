@@ -8,26 +8,33 @@
 //
 // Each event carries the loop context of the access as one interned nest
 // context id — the innermost dynamic loop entry, a node of the global
-// NestForest (trace/nest.hpp) — plus a bounded, root-anchored window of
-// iteration counters: iters[i] is the iteration of the enclosing loop at
-// nest depth i+1, counted from the *outermost* loop.  A dependence is
-// carried by the innermost loop entry common to source and sink when their
-// iteration counters differ at that entry's depth.  Root-anchoring is what
-// keeps the window sufficient: the common entry's depth never exceeds
-// either endpoint's depth, so its counter sits inside both windows whenever
-// the common depth is <= kNestIters, regardless of how deep the endpoints
-// themselves are.  Deeper common levels (nests beyond kNestIters) degrade
-// conservatively to "carried, distance >= 2" — never to a heuristic.
+// NestForest (trace/nest.hpp) — plus one iteration counter, `iter`: the
+// access's iteration at its own nest level.  A dependence is carried by the
+// innermost loop entry common to source and sink when their iteration
+// counters differ at that entry's depth; the counter of an endpoint at an
+// *ancestor* level is a property of the loop entry, not of the access, and
+// is read from the forest (NestForest::entry_iter), so no per-access window
+// of enclosing iterations is needed.
 //
-// Window invariant: the iterations above an access's own level are those of
-// its enclosing entries, fixed when each entry was entered — for every node
-// n on ctx's path with 2 <= depth(n) <= kNestIters + 1,
-// iters[depth(n) - 2] == NestForest::entry_iter(n).  Every producer that
-// keeps a loop stack satisfies it by construction; the file readers (repro
-// and trace) derive entry_iter from their events and reject a file whose
-// events contradict one another.  Recorded accesses rely on it: a slot keeps
-// only its own innermost iteration and recovers ancestor ones from the
-// forest (sig/slots.hpp, core/detector.hpp).
+// Bounded levels: distances are tracked for common levels up to kNestIters.
+// A context deeper than that stamps its depth-kNestIters iteration into
+// `iter` (the deepest level attribution can still use); deeper common levels
+// degrade conservatively to "carried, distance unknown" — never to a
+// heuristic.
+//
+// Entry invariant: for every node n on ctx's path with
+// 2 <= depth(n) <= kNestIters + 1, the access's iteration at level
+// depth(n) - 1 equals NestForest::entry_iter(n).  Every producer that keeps
+// a loop stack satisfies it by construction; the file readers (repro and
+// trace), whose formats carry the equivalent root-anchored window of
+// iterations (NestForest::window), derive entry_iter from their events and
+// reject a file whose events contradict one another.
+//
+// Layout: 32 bytes, two events per cache line.  Address and timestamp share
+// their 64-bit words with the kind/flags bytes and the thread id; both are
+// 48-bit fields.  User-space byte addresses fit, and the MT timestamp
+// counter throws rather than wrap at the bound (Runtime::record); the file
+// readers reject values beyond it.
 
 #include <cstdint>
 
@@ -57,25 +64,28 @@ enum AccessFlags : std::uint8_t {
   kInLockRegion = 1u << 0,
 };
 
-/// Levels of the root-anchored iteration window carried per access.
+/// Nest levels whose carried distances are tracked (see above).
 inline constexpr std::size_t kNestIters = 7;
+
+/// Largest value of the 48-bit `addr` and `ts` fields.
+inline constexpr std::uint64_t kEventFieldMax = (std::uint64_t{1} << 48) - 1;
 
 /// One instrumented memory access (or lifetime event).
 struct AccessEvent {
-  std::uint64_t addr = 0;  ///< byte address of the access
-  std::uint64_t ts = 0;    ///< global timestamp (MT targets; 0 for sequential)
-  std::uint32_t loc = 0;   ///< packed SourceLocation
-  std::uint32_t var = 0;   ///< variable-name registry id
+  std::uint64_t addr : 48 = 0;  ///< byte address of the access
+  AccessKind kind = AccessKind::kRead;
+  std::uint8_t flags = 0;
+  /// Global timestamp (MT targets; 0 for sequential), < 2^48.
+  std::uint64_t ts : 48 = 0;
+  std::uint16_t tid = 0;  ///< target-program thread id
+  std::uint32_t loc = 0;  ///< packed SourceLocation
+  std::uint32_t var = 0;  ///< variable-name registry id
   /// Innermost enclosing dynamic loop entry — a NestForest node id
   /// (NestForest::kRoot = not inside any loop).
   std::uint32_t ctx = 0;
-  /// Root-anchored iteration counters: iters[i] is the iteration of the
-  /// enclosing loop at depth i+1 (outermost = depth 1).  Levels beyond the
-  /// context's depth — and beyond kNestIters — are 0.
-  std::uint32_t iters[kNestIters] = {};
-  std::uint16_t tid = 0;   ///< target-program thread id
-  AccessKind kind = AccessKind::kRead;
-  std::uint8_t flags = 0;
+  /// Iteration at ctx's depth, or at depth kNestIters for deeper contexts
+  /// (0 outside any loop).
+  std::uint32_t iter = 0;
 
   bool is_read() const { return kind == AccessKind::kRead; }
   bool is_write() const { return kind == AccessKind::kWrite; }
@@ -84,7 +94,7 @@ struct AccessEvent {
   SourceLocation location() const { return SourceLocation::from_packed(loc); }
 };
 
-static_assert(sizeof(AccessEvent) == 64);  // exactly one cache line
+static_assert(sizeof(AccessEvent) == 32);  // two events per cache line
 
 /// Consumer of an instrumentation event stream.  Implemented by the serial
 /// profiler, the parallel profiler's producer side, and the trace recorder.

@@ -2,8 +2,9 @@
 // Thread-local event chunk buffer — the producer half of the batched event
 // path.
 //
-// The instrumentation runtime appends each assembled AccessEvent to the
-// calling thread's EventBuffer and flushes it through AccessSink::on_batch
+// The instrumentation runtime stores each AccessEvent once, straight into
+// the calling thread's EventBuffer, and flushes it through
+// AccessSink::on_batch
 // when the buffer fills, at lock-region boundaries (Fig. 4: access and push
 // must stay atomic), at implicit synchronization points, and at detach.
 // Trace replay streams its recorded events through the same on_batch entry
@@ -19,7 +20,7 @@ namespace depprof {
 
 class EventBuffer {
  public:
-  /// Events buffered per thread before a flush (16 KiB per thread).
+  /// Events buffered per thread before a flush (8 KiB per thread).
   static constexpr std::size_t kCapacity = 256;
 
   /// Appends one event; returns true when the buffer is full and must be

@@ -24,8 +24,7 @@ AccessEvent make_event(std::uint64_t addr, bool write, std::uint32_t line,
 
 /// The generators' stand-in for the runtime's per-thread loop stack: interns
 /// dynamic entries into the process-wide nest forest and stamps events with
-/// the innermost entry plus the root-anchored iteration window, exactly as
-/// Runtime::record does.
+/// the innermost entry plus its iteration, exactly as Runtime::record does.
 class NestStamper {
  public:
   void push(std::uint32_t loop) {
@@ -43,8 +42,7 @@ class NestStamper {
   void stamp(AccessEvent& ev) const {
     if (stack_.empty()) return;
     ev.ctx = stack_.back().node;
-    for (std::size_t i = 0; i < kNestIters && i < stack_.size(); ++i)
-      ev.iters[i] = stack_[i].iter;
+    ev.iter = stack_[std::min(stack_.size(), kNestIters) - 1].iter;
   }
 
  private:

@@ -67,12 +67,28 @@ std::uint32_t NestTableLoader::declare(std::uint32_t parent,
   return static_cast<std::uint32_t>(nodes_.size() - 1);
 }
 
-bool NestTableLoader::observe(std::uint32_t ctx, const std::uint32_t* iters) {
+void NestForest::window(std::uint32_t ctx, std::uint32_t iter,
+                        std::uint32_t (&out)[kNestIters]) const {
+  for (std::uint32_t& it : out) it = 0;
+  const std::uint32_t d = depth(ctx);
+  if (d == 0) return;
+  const std::uint32_t top = d < kNestIters ? d : kNestIters;
+  out[top - 1] = iter;
+  // Every node at depth 2..top on the path fixes its parent level's
+  // iteration; nodes deeper than `top` lie below the window.
+  for (std::uint32_t c = ctx; depth(c) >= 2; c = parent(c)) {
+    const Node& n = node(c);
+    if (n.depth <= top) out[n.depth - 2] = n.entry_iter;
+  }
+}
+
+bool NestTableLoader::observe(std::uint32_t ctx,
+                              const std::uint32_t (&window)[kNestIters]) {
   for (std::uint32_t c = ctx; c < nodes_.size() && nodes_[c].depth >= 2;
        c = nodes_[c].parent) {
     Local& n = nodes_[c];
     if (n.depth > kNestIters + 1) continue;  // parent level beyond the window
-    const std::uint32_t it = iters[n.depth - 2];
+    const std::uint32_t it = window[n.depth - 2];
     if (!n.fixed) {
       n.entry_iter = it;
       n.fixed = true;

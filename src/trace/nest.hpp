@@ -16,23 +16,21 @@
 // distance is the difference of their iteration counters at that level
 // (every level strictly above the common entry has, by construction, equal
 // counters for both endpoints, so the common entry is the *only* candidate
-// carrier).  Iteration counters travel in the event as a bounded
-// root-anchored window (event.hpp); the walk itself only needs parent and
-// depth lookups, which this forest serves lock-free.
+// carrier).  An access carries only its own-level iteration (event.hpp);
+// the walk reads parent, depth and entry iteration, which this forest
+// serves lock-free.
 //
 // Entry iteration: a thread cannot advance an enclosing loop while it is
 // inside one of that loop's child entries, so the parent's iteration is
 // the same for every access under an entry — it is fixed when the entry is
-// entered, and the node records it (`entry_iter`).  That is what lets a
-// recorded access keep only its own innermost iteration (sig/slots.hpp):
-// its iteration at any ancestor level is the `entry_iter` of the node just
-// below that level on its context path.  Invariant every producer keeps:
-// for an access in context c and every node n on c's path with
-// 2 <= depth(n) <= kNestIters + 1, `iters[depth(n) - 2] == entry_iter(n)`.
+// entered, and the node records it (`entry_iter`).  That is what lets an
+// access event and a recorded slot keep only their own iteration
+// (event.hpp, sig/slots.hpp): the iteration at any ancestor level is the
+// `entry_iter` of the node just below that level on the context path.
 // Top-level entries have no enclosing iteration and record 0.  Attribution
 // never reads entry_iter below depth kNestIters + 1 (the common level would
-// lie beyond the window), so the file readers, which cannot derive it
-// there, leave it 0.
+// lie beyond the tracked levels), so the file readers, which cannot derive
+// it there, leave it 0.
 //
 // Growth and lifetime: one node per dynamic loop entry — the same rate the
 // previous design burned its process-unique `entry` counter at.  Nodes are
@@ -48,6 +46,8 @@
 #include <cstdint>
 #include <mutex>
 #include <vector>
+
+#include "trace/event.hpp"
 
 namespace depprof {
 
@@ -93,6 +93,13 @@ class NestForest {
     return node(id).entry_iter;
   }
 
+  /// Root-anchored iteration window of an access in context `ctx` whose
+  /// AccessEvent::iter is `iter`: out[i] is its iteration at depth i+1, 0
+  /// beyond the context's depth.  The trace and repro formats carry this
+  /// window; their writers rebuild it here from the entry iterations.
+  void window(std::uint32_t ctx, std::uint32_t iter,
+              std::uint32_t (&out)[kNestIters]) const;
+
   /// Nodes interned so far (ids are 0..size()-1, root included).
   std::uint32_t size() const { return size_.load(std::memory_order_acquire); }
 
@@ -111,6 +118,14 @@ class NestForest {
 /// into (the var_registry() pattern).
 NestForest& nest_forest();
 
+/// The AccessEvent::iter of an access at nest depth `depth`, read from its
+/// root-anchored window (the inverse of NestForest::window).
+inline std::uint32_t window_iter(std::uint32_t depth,
+                                 const std::uint32_t (&window)[kNestIters]) {
+  if (depth == 0) return 0;
+  return window[(depth < kNestIters ? depth : kNestIters) - 1];
+}
+
 /// Re-interns the nest table of a trace or repro file.  Neither format
 /// records `entry_iter`, so the loader derives it from the file's events:
 /// the first event under an entry (directly or through a descendant) fixes
@@ -124,10 +139,12 @@ class NestTableLoader {
   std::uint32_t declare(std::uint32_t parent, std::uint32_t loop);
   /// Local ids declared so far, root included.
   std::uint32_t size() const { return static_cast<std::uint32_t>(nodes_.size()); }
+  /// Nest depth of declared local node `local` (root: 0).
+  std::uint32_t depth(std::uint32_t local) const { return nodes_[local].depth; }
   /// Fixes or checks the entry iterations on local context `ctx`'s path
-  /// against an event's root-anchored window (the nest.hpp invariant).
+  /// against an event's root-anchored window (event.hpp's entry invariant).
   /// Returns false when the window contradicts an earlier event.
-  bool observe(std::uint32_t ctx, const std::uint32_t* iters);
+  bool observe(std::uint32_t ctx, const std::uint32_t (&window)[kNestIters]);
   /// Interns every declared node; returns the local -> forest id map.
   std::vector<std::uint32_t> intern() const;
 

@@ -15,9 +15,26 @@ namespace {
 // children) and the reader re-interns it.  v01 files predate the context
 // model: their fixed-size records embed ids from a dead forest, so they are
 // rejected rather than silently misattributed.  The table does not record
-// entry iterations: the reader derives them from the events (NestTableLoader)
-// and rejects a file whose events contradict one another.
+// entry iterations: the reader derives them from the events' iteration
+// windows (NestTableLoader) and rejects a file whose events contradict one
+// another.
 constexpr char kMagic[8] = {'D', 'E', 'P', 'T', 'R', 'C', '0', '2'};
+
+/// One serialized event: 64 bytes with the root-anchored iteration window
+/// (NestForest::window) in place of the in-memory event's single `iter`.
+struct WireEvent {
+  std::uint64_t addr = 0;
+  std::uint64_t ts = 0;
+  std::uint32_t loc = 0;
+  std::uint32_t var = 0;
+  std::uint32_t ctx = 0;  ///< file-local nest id
+  std::uint32_t iters[kNestIters] = {};
+  std::uint16_t tid = 0;
+  std::uint8_t kind = 0;
+  std::uint8_t flags = 0;
+  std::uint32_t pad = 0;
+};
+static_assert(sizeof(WireEvent) == 64);
 
 /// One serialized nest node: file-local parent id + static loop id.  The
 /// file-local id of a node is its index + 1 (0 = root, never written).
@@ -59,9 +76,18 @@ bool write_trace(const Trace& trace, const std::string& path) {
   os.write(reinterpret_cast<const char*>(&count), sizeof(count));
   // Events are written with the context id translated to its file-local id
   // so the file is self-contained across processes.
-  for (AccessEvent ev : trace.events) {
-    ev.ctx = local_id[ev.ctx];
-    os.write(reinterpret_cast<const char*>(&ev), sizeof(ev));
+  for (const AccessEvent& ev : trace.events) {
+    WireEvent w;
+    w.addr = ev.addr;
+    w.ts = ev.ts;
+    w.loc = ev.loc;
+    w.var = ev.var;
+    w.ctx = local_id[ev.ctx];
+    forest.window(ev.ctx, ev.iter, w.iters);
+    w.tid = ev.tid;
+    w.kind = static_cast<std::uint8_t>(ev.kind);
+    w.flags = ev.flags;
+    os.write(reinterpret_cast<const char*>(&w), sizeof(w));
   }
   return static_cast<bool>(os);
 }
@@ -107,15 +133,29 @@ bool read_trace(Trace& out, const std::string& path) {
   if (remaining < sizeof(count)) return false;
   is.read(reinterpret_cast<char*>(&count), sizeof(count));
   remaining -= sizeof(count);
-  if (!is || count > remaining / sizeof(AccessEvent)) return false;
+  if (!is || count > remaining / sizeof(WireEvent)) return false;
+  std::vector<WireEvent> wire(count);
+  is.read(reinterpret_cast<char*>(wire.data()),
+          static_cast<std::streamsize>(count * sizeof(WireEvent)));
+  if (!is) return false;
   Trace t;
   t.events.resize(count);
-  is.read(reinterpret_cast<char*>(t.events.data()),
-          static_cast<std::streamsize>(count * sizeof(AccessEvent)));
-  if (!is) return false;
-  for (const AccessEvent& ev : t.events) {
-    if (ev.ctx > node_count) return false;  // dangling context reference
-    if (!table.observe(ev.ctx, ev.iters)) return false;  // contradiction
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const WireEvent& w = wire[i];
+    if (w.ctx > node_count) return false;  // dangling context reference
+    // Beyond the in-memory event's 48-bit fields.
+    if (w.addr > kEventFieldMax || w.ts > kEventFieldMax) return false;
+    if (!table.observe(w.ctx, w.iters)) return false;  // contradiction
+    AccessEvent& ev = t.events[i];
+    ev.addr = w.addr;
+    ev.ts = w.ts;
+    ev.loc = w.loc;
+    ev.var = w.var;
+    ev.ctx = w.ctx;
+    ev.iter = window_iter(table.depth(w.ctx), w.iters);
+    ev.tid = w.tid;
+    ev.kind = static_cast<AccessKind>(w.kind);
+    ev.flags = w.flags;
   }
   // Re-intern only a fully validated table, with the derived entry_iters.
   const std::vector<std::uint32_t> id_map = table.intern();

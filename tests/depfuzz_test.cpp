@@ -81,11 +81,11 @@ TEST(ExactOracle, LoopCarriedDistance) {
   for (std::uint32_t i = 0; i < 4; ++i) {
     AccessEvent w = make_ev(AccessKind::kWrite, 0x200, 21);
     w.ctx = entry;
-    w.iters[0] = i;
+    w.iter = i;
     t.events.push_back(w);
     AccessEvent r = make_ev(AccessKind::kRead, 0x200, 22);
     r.ctx = entry;
-    r.iters[0] = i + 1;  // reads the previous iteration's value
+    r.iter = i + 1;  // reads the previous iteration's value
     t.events.push_back(r);
   }
   const DepMap deps = oracle_dependences(t, false);
@@ -113,14 +113,12 @@ TEST(ExactOracle, NestedCommonLoopAttribution) {
   const std::uint32_t in2 = forest.enter(outer, 6, 2);
   Trace t;
   AccessEvent w = make_ev(AccessKind::kWrite, 0x300, 31);
-  w.ctx = in1;
-  w.iters[0] = 0;  // outer iteration
-  w.iters[1] = 3;  // inner iteration
+  w.ctx = in1;  // outer iteration 0 (in1's entry iteration)
+  w.iter = 3;   // inner iteration
   t.events.push_back(w);
   AccessEvent r = make_ev(AccessKind::kRead, 0x300, 32);
-  r.ctx = in2;
-  r.iters[0] = 2;
-  r.iters[1] = 3;
+  r.ctx = in2;  // outer iteration 2
+  r.iter = 3;
   t.events.push_back(r);
   const DepMap deps = oracle_dependences(t, false);
   bool found = false;
@@ -256,13 +254,12 @@ Trace reentered_inner_trace(bool force_zero_entry_iter) {
     for (std::uint32_t j = 0; j < 3; ++j) {
       AccessEvent w = make_ev(AccessKind::kWrite, 0x500 + 8 * j, 41);
       w.ctx = inner;
-      w.iters[0] = i;
-      w.iters[1] = j;
+      w.iter = j;
       t.events.push_back(w);
     }
     AccessEvent r = make_ev(AccessKind::kRead, 0x500, 42);
     r.ctx = outer;
-    r.iters[0] = i;
+    r.iter = i;
     t.events.push_back(r);
   }
   return t;
@@ -292,11 +289,14 @@ TEST(Harness, EntryIterationCarriesAncestorLevelAcrossBackends) {
       EXPECT_TRUE(outcome.ok) << storage_kind_name(storage) << "\n"
                               << outcome.detail;
     }
-    // Forcing entry_iter to 0 breaks the window invariant: the oracle still
-    // reads the true outer iteration from the source event, the profilers
-    // read 0 from the forest, and the outer-level distances disagree.
-    EXPECT_FALSE(run_case(zeroed, cfg).ok) << storage_kind_name(storage);
+    // Forcing entry_iter to 0 describes a different program; the profilers
+    // follow the forest exactly as the oracle does.
+    EXPECT_TRUE(run_case(zeroed, cfg).ok) << storage_kind_name(storage);
   }
+  // The entry iterations are load-bearing: zeroing them changes the
+  // outer-level distances.
+  EXPECT_FALSE(
+      diff_deps(oracle_dependences(t), oracle_dependences(zeroed)).identical());
 }
 
 TEST(Harness, BoundedBudgetGrowsWithPredictedFpr) {
@@ -455,13 +455,11 @@ TEST(Shrinker, FlattensNestWhenFailureSurvivesIt) {
   const std::uint32_t inner = forest.enter(outer, 81, 2);
   Trace t;
   AccessEvent w = make_ev(AccessKind::kWrite, 0xbeef0, 91);
-  w.ctx = inner;
-  w.iters[0] = 2;
-  w.iters[1] = 0;
+  w.ctx = inner;  // outer iteration 2
+  w.iter = 0;
   AccessEvent r = make_ev(AccessKind::kRead, 0xbeef0, 92);
   r.ctx = inner;
-  r.iters[0] = 2;
-  r.iters[1] = 1;
+  r.iter = 1;
   t.events.push_back(w);
   t.events.push_back(r);
 
@@ -482,11 +480,11 @@ TEST(Shrinker, FlattensNestWhenFailureSurvivesIt) {
   for (const auto& ev : flat.events) {
     EXPECT_EQ(forest.depth(ev.ctx), 1u);
     EXPECT_EQ(forest.loop(ev.ctx), 81u);  // innermost loop kept
-    EXPECT_EQ(ev.iters[1], 0u);
+    EXPECT_EQ(forest.entry_iter(ev.ctx), 0u);
   }
-  // The innermost iteration moved to window slot 0.
-  EXPECT_EQ(flat.events[0].iters[0], 0u);
-  EXPECT_EQ(flat.events[1].iters[0], 1u);
+  // The innermost iteration is kept.
+  EXPECT_EQ(flat.events[0].iter, 0u);
+  EXPECT_EQ(flat.events[1].iter, 1u);
 }
 
 TEST(Shrinker, KeepsNestWhenFlatteningLosesTheFailure) {
@@ -499,11 +497,9 @@ TEST(Shrinker, KeepsNestWhenFlatteningLosesTheFailure) {
   const std::uint32_t in2 = forest.enter(outer, 86, 1);
   Trace t;
   AccessEvent w = make_ev(AccessKind::kWrite, 0xfeed0, 95);
-  w.ctx = in1;
-  w.iters[0] = 0;
+  w.ctx = in1;  // outer iteration 0
   AccessEvent r = make_ev(AccessKind::kRead, 0xfeed0, 96);
-  r.ctx = in2;
-  r.iters[0] = 1;
+  r.ctx = in2;  // outer iteration 1
   t.events.push_back(w);
   t.events.push_back(r);
 
@@ -587,7 +583,7 @@ ReproCase sample_repro() {
   AccessEvent ev = make_ev(AccessKind::kWrite, 0xabc0, 41, 2, 1, 99);
   ev.flags = kInLockRegion;
   ev.ctx = nest_forest().enter(NestForest::kRoot, 5, 0);
-  ev.iters[0] = 7;
+  ev.iter = 7;
   r.trace.events.push_back(ev);
   r.trace.events.push_back(make_ev(AccessKind::kFree, 0xabc0, 0, 0, 1, 100));
   return r;
@@ -644,8 +640,7 @@ void expect_same_events(const Trace& a, const Trace& b) {
     EXPECT_EQ(x.ts, y.ts) << "event " << i;
     EXPECT_EQ(x.flags, y.flags) << "event " << i;
     EXPECT_EQ(ctx_shape(x.ctx), ctx_shape(y.ctx)) << "event " << i;
-    for (std::size_t l = 0; l < kNestIters; ++l)
-      EXPECT_EQ(x.iters[l], y.iters[l]) << "event " << i << " level " << l;
+    EXPECT_EQ(x.iter, y.iter) << "event " << i;
   }
 }
 
@@ -695,7 +690,7 @@ TEST(Corpus, FormatParseRoundTrip) {
   ASSERT_NE(ev.ctx, NestForest::kRoot);
   EXPECT_EQ(nest_forest().loop(ev.ctx), 5u);
   EXPECT_EQ(nest_forest().depth(ev.ctx), 1u);
-  EXPECT_EQ(ev.iters[0], 7u);
+  EXPECT_EQ(ev.iter, 7u);
   EXPECT_TRUE(back.trace.events[1].is_free());
 }
 
@@ -716,7 +711,8 @@ TEST(Corpus, NestDirectivesRebuildChains) {
   EXPECT_EQ(forest.depth(inner.ctx), 2u);
   EXPECT_EQ(forest.parent(inner.ctx), outer.ctx);
   EXPECT_EQ(forest.loop(outer.ctx), 50u);
-  EXPECT_EQ(inner.iters[1], 4u);
+  EXPECT_EQ(inner.iter, 4u);
+  EXPECT_EQ(forest.entry_iter(inner.ctx), 3u);
 }
 
 TEST(Corpus, RejectsMalformedNests) {

@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/detector.hpp"
+#include "oracle/diff.hpp"
+#include "oracle/exact_oracle.hpp"
 #include "sig/perfect_signature.hpp"
 #include "sig/signature.hpp"
 #include "trace/nest.hpp"
@@ -14,10 +18,12 @@
 namespace depprof {
 namespace {
 
-AccessEvent ev(std::uint64_t addr, AccessKind kind, std::uint32_t line,
+/// An access to word unit `unit` (byte address unit * 4): the detector
+/// derives units itself, and the stores and migration work on units.
+AccessEvent ev(std::uint64_t unit, AccessKind kind, std::uint32_t line,
                std::uint32_t var = 7) {
   AccessEvent e;
-  e.addr = addr;
+  e.addr = unit * 4;
   e.kind = kind;
   e.loc = SourceLocation(1, line).packed();
   e.var = var;
@@ -148,16 +154,50 @@ TEST(Detector, FreeRemovesReadStateToo) {
 
 // ------------------------------------------------- loop-nest attribution
 
-/// Stamps `e` with a nest context and a root-anchored iteration window.
+/// Stamps `e` with a nest context and the iteration its root-anchored
+/// window `iters` gives it; the window must agree with the forest's entry
+/// iterations (event.hpp's entry invariant).
 AccessEvent with_nest(AccessEvent e, std::uint32_t ctx,
                       std::initializer_list<std::uint32_t> iters) {
-  e.ctx = ctx;
+  std::uint32_t window[kNestIters] = {};
   std::size_t i = 0;
   for (std::uint32_t v : iters) {
-    if (i < kNestIters) e.iters[i] = v;
+    if (i < kNestIters) window[i] = v;
     ++i;
   }
+  e.ctx = ctx;
+  e.iter = window_iter(nest_forest().depth(ctx), window);
+  std::uint32_t rebuilt[kNestIters];
+  nest_forest().window(ctx, e.iter, rebuilt);
+  for (std::size_t d = 0; d < kNestIters; ++d)
+    EXPECT_EQ(rebuilt[d], window[d]) << "window contradicts entry iterations";
   return e;
+}
+
+/// Stamps `e` with a nest context and its own iteration.
+AccessEvent in_ctx(AccessEvent e, std::uint32_t ctx, std::uint32_t iter) {
+  e.ctx = ctx;
+  e.iter = iter;
+  return e;
+}
+
+/// Runs `events` through the per-event and batched detector and through
+/// ExactOracle; all three maps must be identical.  Returns the map.
+DepMap expect_matches_oracle(const std::vector<AccessEvent>& events) {
+  auto det = make_perfect();
+  DepMap deps;
+  for (const AccessEvent& e : events) det.process(e, deps);
+  auto batched = make_perfect();
+  DepMap batch_deps;
+  batched.process_batch(events.data(), events.size(), batch_deps);
+  Trace t;
+  t.events = events;
+  const DepMap oracle = oracle_dependences(t);
+  EXPECT_TRUE(diff_deps(oracle, deps).identical())
+      << format_diff(diff_deps(oracle, deps), "oracle", "detector");
+  EXPECT_TRUE(diff_deps(oracle, batch_deps).identical())
+      << format_diff(diff_deps(oracle, batch_deps), "oracle", "batch");
+  return deps;
 }
 
 TEST(Detector, SameIterationIsNotCarried) {
@@ -311,6 +351,56 @@ TEST(Detector, DeepNestBeyondWindowIsConservativelyCarried) {
   ASSERT_NE(info, nullptr);
   EXPECT_NE(info->flags & kLoopCarried, 0);
   // Level clamps to the last window row; the bucket is ">= 2 / unknown".
+  EXPECT_EQ(info->levels[kNestLevels - 1].d2p, 1u);
+}
+
+TEST(Detector, EndpointsAtDifferentDepthsUnderDepthThreeLoop) {
+  // Common entry at depth 3; the endpoints sit at depths 5, 3 and 4 under
+  // different iterations of it.  Each endpoint's depth-3 iteration is its
+  // own iteration or an entry iteration read while climbing its path.
+  NestForest& f = nest_forest();
+  const std::uint32_t l1 = f.enter(NestForest::kRoot, 301, 0);
+  const std::uint32_t l2 = f.enter(l1, 302, 1);
+  const std::uint32_t l3 = f.enter(l2, 303, 2);
+  const std::uint32_t a4 = f.enter(l3, 304, 4);  // at l3 iteration 4
+  const std::uint32_t a5 = f.enter(a4, 305, 0);
+  const std::uint32_t b4 = f.enter(l3, 306, 7);  // at l3 iteration 7
+  const DepMap deps = expect_matches_oracle({
+      in_ctx(wr(100, 10), a5, 2),  // depth 5, l3 iteration 4
+      in_ctx(rd(100, 20), l3, 6),  // depth 3: RAW distance 2
+      in_ctx(wr(100, 30), b4, 1),  // depth 4: WAW 3, WAR 1
+      in_ctx(wr(104, 40), a5, 0),  // depth 5, l3 iteration 4
+      in_ctx(rd(104, 50), l3, 4),  // same l3 iteration: distance 0
+  });
+  const auto at_level3 = [&](DepType t, std::uint32_t sink, std::uint32_t src) {
+    const DepInfo* info = deps.find(key(t, sink, src));
+    EXPECT_NE(info, nullptr);
+    EXPECT_EQ(info->levels[2].loop, 303u);
+    return info->levels[2];
+  };
+  EXPECT_EQ(at_level3(DepType::kRaw, 20, 10).d2p, 1u);
+  EXPECT_EQ(at_level3(DepType::kWaw, 30, 10).d2p, 1u);
+  EXPECT_EQ(at_level3(DepType::kWar, 30, 20).d1, 1u);
+  EXPECT_EQ(at_level3(DepType::kRaw, 50, 40).d0, 1u);
+}
+
+TEST(Detector, CommonLoopDeeperThanTrackedLevelsMatchesOracle) {
+  // Common entry at depth kNestIters + 2, endpoints one level below it and
+  // at it: the distance is unknown, conservatively carried, as the oracle
+  // says.
+  NestForest& f = nest_forest();
+  std::uint32_t common = NestForest::kRoot;
+  for (std::uint32_t d = 1; d <= kNestIters + 2; ++d)
+    common = f.enter(common, 400 + d, 1);
+  const std::uint32_t child = f.enter(common, 499, 3);
+  const DepMap deps = expect_matches_oracle({
+      in_ctx(wr(100, 10), child, 1),
+      in_ctx(rd(100, 20), common, 1),
+      in_ctx(wr(100, 30), common, 1),
+  });
+  const DepInfo* info = deps.find(key(DepType::kRaw, 20, 10));
+  ASSERT_NE(info, nullptr);
+  EXPECT_NE(info->flags & kLoopCarried, 0);
   EXPECT_EQ(info->levels[kNestLevels - 1].d2p, 1u);
 }
 

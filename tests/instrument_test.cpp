@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -80,7 +82,7 @@ TEST_F(RuntimeTest, LoopContextAttachedToAccesses) {
   EXPECT_EQ(nest_forest().depth(ctx), 1u);
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(t.events[i].ctx, ctx) << "one dynamic entry, one context";
-    EXPECT_EQ(t.events[i].iters[0], static_cast<std::uint32_t>(i + 1));
+    EXPECT_EQ(t.events[i].iter, static_cast<std::uint32_t>(i + 1));
   }
 }
 
@@ -137,10 +139,98 @@ TEST_F(RuntimeTest, ThreeLevelNestingRecorded) {
   EXPECT_NE(forest.loop(outer), 0u);
   EXPECT_NE(forest.loop(inner), forest.loop(middle));
   EXPECT_NE(forest.loop(middle), forest.loop(outer));
-  // Root-anchored iteration window: one DP_LOOP_ITER at each level.
-  EXPECT_EQ(e.iters[0], 1u);
-  EXPECT_EQ(e.iters[1], 1u);
-  EXPECT_EQ(e.iters[2], 1u);
+  // One DP_LOOP_ITER at each level: the event's own iteration, and the
+  // enclosing ones fixed in the entries below them.
+  EXPECT_EQ(e.iter, 1u);
+  EXPECT_EQ(forest.entry_iter(inner), 1u);
+  EXPECT_EQ(forest.entry_iter(middle), 1u);
+}
+
+TEST_F(RuntimeTest, DeepContextsStampTheLastTrackedLevel) {
+  // Beyond kNestIters levels an event carries its depth-kNestIters
+  // iteration; the window its files carry ends at that level too.
+  Runtime::instance().attach(&recorder_);
+  int a = 0;
+  const std::uint32_t depth = kNestIters + 3;
+  for (std::uint32_t d = 1; d <= depth; ++d) {
+    DP_LOOP_BEGIN();
+    for (std::uint32_t k = 0; k < d; ++k) DP_LOOP_ITER();
+  }
+  DP_WRITE(a);
+  a = 1;
+  for (std::uint32_t d = 1; d <= depth; ++d) DP_LOOP_END();
+  const Trace& t = capture();
+  ASSERT_EQ(t.events.size(), 1u);
+  const AccessEvent& e = t.events[0];
+  ASSERT_EQ(nest_forest().depth(e.ctx), depth);
+  EXPECT_EQ(e.iter, kNestIters);  // level d iterated d times
+  std::uint32_t window[kNestIters];
+  nest_forest().window(e.ctx, e.iter, window);
+  for (std::uint32_t d = 1; d <= kNestIters; ++d) EXPECT_EQ(window[d - 1], d);
+}
+
+TEST_F(RuntimeTest, TimestampsThrowAtTheFortyEightBitBound) {
+  // The MT timestamp fills a 48-bit event field: the last value is handed
+  // out, the next access throws instead of wrapping to a small timestamp.
+  Runtime& rt = Runtime::instance();
+  rt.reset(Runtime::StartAt{kEventFieldMax});
+  rt.attach(&recorder_, /*mt_mode=*/true);
+  int a = 0;
+  DP_WRITE(a);
+  a = 1;
+  EXPECT_THROW(DP_READ(a), std::length_error);
+  EXPECT_THROW(DP_FREE(&a, sizeof(a)), std::length_error);
+  const Trace& t = capture();
+  ASSERT_EQ(t.events.size(), 1u);
+  EXPECT_EQ(t.events[0].ts, kEventFieldMax);
+  EXPECT_TRUE(t.events[0].is_write());
+}
+
+/// Counts delivered events; keeps no copies.
+class CountingSink final : public AccessSink {
+ public:
+  void on_access(const AccessEvent&) override { ++events; }
+  void on_batch(const AccessEvent*, std::size_t count) override {
+    events += count;
+  }
+  void on_batch_rle(const AccessEvent*, const std::uint32_t* reps,
+                    std::size_t count) override {
+    for (std::size_t i = 0; i < count; ++i) events += reps[i];
+  }
+  std::atomic<std::uint64_t> events{0};
+};
+
+TEST_F(RuntimeTest, LoopHooksRunAgainstConcurrentAttachAndDetach) {
+  // The loop hooks update the sampling cursor and the dedup cache outside
+  // any SinkUse window; attach()/detach() on another thread must not write
+  // those fields.  Functionally a smoke test — the TSan job is what sees a
+  // data race here.
+  CountingSink sink;
+  SamplingConfig sampling;
+  sampling.burst = 1;
+  sampling.skip = 1;
+  std::atomic<bool> done{false};
+  std::thread target([&] {
+    int a = 0;
+    for (int round = 0; round < 50'000; ++round) {
+      DP_LOOP_BEGIN();
+      for (int i = 0; i < 8; ++i) {
+        DP_LOOP_ITER();
+        DP_WRITE(a);
+        a = i;
+      }
+      DP_LOOP_END();
+    }
+    done.store(true);
+  });
+  Runtime& rt = Runtime::instance();
+  while (!done.load()) {
+    rt.attach(&sink, false, /*dedup=*/true, sampling);
+    std::this_thread::yield();
+    rt.detach();
+  }
+  target.join();
+  SUCCEED() << sink.events.load() << " events delivered";
 }
 
 TEST_F(RuntimeTest, NestEdgesFormLoopTree) {
@@ -210,7 +300,7 @@ TEST_F(RuntimeTest, ThreadEnteringMidLoopKeepsOwnNestCursor) {
   for (const auto& e : t.events) {
     if (e.tid == main_tid) {
       EXPECT_NE(e.ctx, NestForest::kRoot);
-      EXPECT_EQ(e.iters[0], 1u);
+      EXPECT_EQ(e.iter, 1u);
     } else {
       EXPECT_EQ(e.ctx, NestForest::kRoot);
     }
@@ -439,10 +529,10 @@ TEST_F(RuntimeTest, FixedSkipSamplingGatesWholeIterations) {
   ASSERT_EQ(t.events.size(), 4u);
   EXPECT_TRUE(t.events[0].is_burst_mark());
   EXPECT_TRUE(t.events[1].is_write());
-  EXPECT_EQ(t.events[1].iters[0], 2u);
+  EXPECT_EQ(t.events[1].iter, 2u);
   EXPECT_TRUE(t.events[2].is_burst_mark());
   EXPECT_TRUE(t.events[3].is_write());
-  EXPECT_EQ(t.events[3].iters[0], 4u);
+  EXPECT_EQ(t.events[3].iter, 4u);
 }
 
 TEST_F(RuntimeTest, AccessesOutsideLoopsBypassTheGate) {

@@ -41,17 +41,14 @@ DepMap run_parallel(const Trace& t, const ProfilerConfig& cfg) {
 }
 
 /// Per-event reference: Algorithm 1 one event at a time through
-/// DetectorCore::process, on the canonical word units both profilers hand
-/// their detect stage.  The profilers always run the batched kernel
+/// DetectorCore::process, on the same events both profilers hand their
+/// detect stage.  The profilers always run the batched kernel
 /// (process_batch), so this is the map that kernel must reproduce.
 DepMap run_per_event(const Trace& t, const ProfilerConfig& cfg) {
   return with_store(cfg, [&]<typename Store>(std::type_identity<Store>) {
     DetectorCore<Store> core(make_store<Store>(cfg), make_store<Store>(cfg));
     DepMap deps;
-    for (AccessEvent ev : t.events) {
-      ev.addr = word_addr(ev.addr);
-      core.process(ev, deps);
-    }
+    for (const AccessEvent& ev : t.events) core.process(ev, deps);
     return deps;
   });
 }

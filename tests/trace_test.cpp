@@ -3,12 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
+#include "oracle/corpus.hpp"
 #include "trace/generators.hpp"
 #include "trace/nest.hpp"
 #include "trace/trace.hpp"
@@ -16,6 +22,40 @@
 
 namespace depprof {
 namespace {
+
+/// One v02 trace-file event record (the layout trace_io.cpp writes), for
+/// hand-made files the writer cannot produce.
+struct RawEvent {
+  std::uint64_t addr = 0;
+  std::uint64_t ts = 0;
+  std::uint32_t loc = 0;
+  std::uint32_t var = 0;
+  std::uint32_t ctx = 0;
+  std::uint32_t iters[kNestIters] = {};
+  std::uint16_t tid = 0;
+  std::uint8_t kind = 0;
+  std::uint8_t flags = 0;
+  std::uint32_t pad = 0;
+};
+static_assert(sizeof(RawEvent) == 64);
+
+/// Writes a v02 trace file from file-local nest nodes {parent, loop}
+/// (ids 1, 2, ...) and raw event records.
+void write_raw_trace(const std::string& path,
+                     const std::vector<std::array<std::uint32_t, 2>>& nodes,
+                     const std::vector<RawEvent>& events) {
+  FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  const char magic[8] = {'D', 'E', 'P', 'T', 'R', 'C', '0', '2'};
+  std::fwrite(magic, 1, sizeof(magic), f);
+  const std::uint64_t node_count = nodes.size();
+  std::fwrite(&node_count, 1, sizeof(node_count), f);
+  for (const auto& n : nodes) std::fwrite(n.data(), 1, sizeof(n), f);
+  const std::uint64_t count = events.size();
+  std::fwrite(&count, 1, sizeof(count), f);
+  for (const RawEvent& ev : events) std::fwrite(&ev, 1, sizeof(ev), f);
+  std::fclose(f);
+}
 
 TEST(Trace, StatisticsMatchGeneratorParams) {
   GenParams p;
@@ -88,10 +128,10 @@ TEST(Generators, LoopTraceCarriesLoopContext) {
     EXPECT_EQ(forest.loop(ev.ctx), 7u);
     EXPECT_EQ(forest.depth(ev.ctx), 1u);
   }
-  // All events share one dynamic loop entry; iters[0] tracks the iteration.
+  // All events share one dynamic loop entry; iter tracks the iteration.
   EXPECT_EQ(t.events.back().ctx, t.events[0].ctx);
-  EXPECT_EQ(t.events[0].iters[0], 0u);
-  EXPECT_EQ(t.events.back().iters[0], 2u);
+  EXPECT_EQ(t.events[0].iter, 0u);
+  EXPECT_EQ(t.events.back().iter, 2u);
 }
 
 TEST(Generators, NestTraceBuildsDeepImperfectNests) {
@@ -178,8 +218,8 @@ TEST(TraceIo, RoundTrip) {
 
 TEST(TraceIo, NestContextsSurviveRoundTrip) {
   // Events stamped with interned nest contexts must come back with the same
-  // nest *shape* (loop ids, depths, parent linkage, iteration windows) even
-  // though the reader re-interns fresh forest ids.
+  // nest *shape* (loop ids, depths, parent linkage, entry iterations) and
+  // iterations even though the reader re-interns fresh forest ids.
   NestForest& forest = nest_forest();
   const std::uint32_t outer = forest.enter(NestForest::kRoot, 40, 0);
   const std::uint32_t in1 = forest.enter(outer, 41, 2);
@@ -189,14 +229,12 @@ TEST(TraceIo, NestContextsSurviveRoundTrip) {
   ev.kind = AccessKind::kWrite;
   ev.addr = 100;
   ev.ctx = in1;
-  ev.iters[0] = 2;
-  ev.iters[1] = 5;
+  ev.iter = 5;
   t.events.push_back(ev);
   ev.kind = AccessKind::kRead;
   ev.addr = 100;
   ev.ctx = in2;
-  ev.iters[0] = 3;
-  ev.iters[1] = 0;
+  ev.iter = 0;
   t.events.push_back(ev);
   ev.ctx = NestForest::kRoot;  // an event outside any loop
   t.events.push_back(ev);
@@ -213,8 +251,9 @@ TEST(TraceIo, NestContextsSurviveRoundTrip) {
   EXPECT_EQ(forest.loop(a.ctx), 41u);
   EXPECT_EQ(forest.depth(a.ctx), 2u);
   EXPECT_EQ(forest.loop(forest.parent(a.ctx)), 40u);
-  EXPECT_EQ(a.iters[0], 2u);
-  EXPECT_EQ(a.iters[1], 5u);
+  EXPECT_EQ(forest.entry_iter(a.ctx), 2u);
+  EXPECT_EQ(a.iter, 5u);
+  EXPECT_EQ(forest.entry_iter(b.ctx), 3u);
   EXPECT_EQ(forest.loop(b.ctx), 41u);
   // The two sibling entries stay distinct but share the same parent entry.
   EXPECT_NE(a.ctx, b.ctx);
@@ -244,8 +283,11 @@ TEST(TraceIo, GeneratedNestTraceRoundTripsAttribution) {
       got = forest.parent(got);
     }
     EXPECT_EQ(got, NestForest::kRoot);
-    for (std::size_t d = 0; d < kNestIters; ++d)
-      EXPECT_EQ(back.events[i].iters[d], t.events[i].iters[d]);
+    EXPECT_EQ(back.events[i].iter, t.events[i].iter);
+    std::uint32_t wa[kNestIters], wb[kNestIters];
+    forest.window(t.events[i].ctx, t.events[i].iter, wa);
+    forest.window(back.events[i].ctx, back.events[i].iter, wb);
+    for (std::size_t d = 0; d < kNestIters; ++d) EXPECT_EQ(wb[d], wa[d]);
   }
 }
 
@@ -291,11 +333,22 @@ TEST(TraceIo, RejectsMalformedNestTables) {
     std::fwrite(node, 1, sizeof(node), f);
     const std::uint64_t count = 1;
     std::fwrite(&count, 1, sizeof(count), f);
-    AccessEvent ev;
+    RawEvent ev;
     ev.ctx = 2;  // only node 1 was declared
     std::fwrite(&ev, 1, sizeof(ev), f);
     std::fclose(f);
     EXPECT_FALSE(read_trace(out, path));
+  }
+
+  // Address and timestamp beyond the event's 48-bit fields.
+  for (const bool ts : {false, true}) {
+    RawEvent ev;
+    (ts ? ev.ts : ev.addr) = kEventFieldMax + 1;
+    write_raw_trace(path, {}, {ev});
+    EXPECT_FALSE(read_trace(out, path));
+    (ts ? ev.ts : ev.addr) = kEventFieldMax;
+    write_raw_trace(path, {}, {ev});
+    EXPECT_TRUE(read_trace(out, path));
   }
   std::remove(path.c_str());
 }
@@ -304,24 +357,21 @@ TEST(TraceIo, DerivesEntryIterationsAndRejectsContradictions) {
   // The nest table carries no entry iterations: the reader takes them from
   // the events, and rejects events of one entry that disagree about it.
   NestForest& forest = nest_forest();
-  const std::uint32_t outer = forest.enter(NestForest::kRoot, 44, 0);
-  const std::uint32_t inner = forest.enter(outer, 45, 6);
-  Trace t;
-  AccessEvent ev;
-  ev.ctx = inner;
+  const std::string path = "/tmp/depprof_entry_iter_trace_test.bin";
+  RawEvent ev;
+  ev.ctx = 2;  // inner (file-local id 2) under outer (id 1)
   ev.iters[0] = 6;
   ev.iters[1] = 1;
-  t.events.push_back(ev);
-  const std::string path = "/tmp/depprof_entry_iter_trace_test.bin";
-  ASSERT_TRUE(write_trace(t, path));
+  write_raw_trace(path, {{0, 44}, {1, 45}}, {ev});
   Trace back;
   ASSERT_TRUE(read_trace(back, path));
   EXPECT_EQ(forest.entry_iter(back.events[0].ctx), 6u);
   EXPECT_EQ(forest.entry_iter(forest.parent(back.events[0].ctx)), 0u);
+  EXPECT_EQ(back.events[0].iter, 1u);
 
-  ev.iters[0] = 7;  // same inner entry, different outer iteration
-  t.events.push_back(ev);
-  ASSERT_TRUE(write_trace(t, path));
+  RawEvent contradicting = ev;
+  contradicting.iters[0] = 7;  // same inner entry, different outer iteration
+  write_raw_trace(path, {{0, 44}, {1, 45}}, {ev, contradicting});
   EXPECT_FALSE(read_trace(back, path));
   std::remove(path.c_str());
 }
@@ -340,6 +390,114 @@ TEST(NestForest, ThrowsInsteadOfWrappingIdsToRoot) {
   EXPECT_EQ(forest.loop(NestForest::kRoot), 0u);
   EXPECT_EQ(forest.loop(last), 7u);
   EXPECT_EQ(forest.depth(last), 1u);
+}
+
+/// The stream the committed tests/data/nest10.* files were written from: a
+/// ten-deep nest (three iterations per level, the child entered at
+/// iteration 1, and depth 9 re-entered at depth 8's iteration 2) with MT
+/// fields set, built the way a loop-stack producer stamps events.
+Trace ten_deep_nest() {
+  struct Level {
+    std::uint32_t node;
+    std::uint32_t iter;
+  };
+  std::vector<Level> stack;
+  std::uint64_t ts = 0;
+  Trace t;
+  const auto emit = [&](AccessKind k, std::uint32_t level, std::uint32_t line) {
+    AccessEvent ev;
+    ev.addr = 0x4000 + level * 16 + (line % 3) * 4;
+    ev.kind = k;
+    ev.loc = SourceLocation(2, line).packed();
+    ev.var = level;
+    ev.tid = static_cast<std::uint16_t>(level % 3);
+    ev.ts = ++ts;
+    ev.flags = (level % 2) != 0 ? kInLockRegion : 0;
+    ev.ctx = stack.back().node;
+    ev.iter = stack[std::min(stack.size(), kNestIters) - 1].iter;
+    t.events.push_back(ev);
+  };
+  const auto level_fn = [&](auto& self, std::uint32_t level) -> void {
+    const std::uint32_t parent =
+        stack.empty() ? NestForest::kRoot : stack.back().node;
+    const std::uint32_t entry = stack.empty() ? 0 : stack.back().iter;
+    stack.push_back({nest_forest().enter(parent, 1000 + level, entry), 0});
+    for (std::uint32_t k = 0; k < 3; ++k) {
+      emit(AccessKind::kRead, level, 100 + level);
+      if (level < 10 && (k == 1 || (level == 8 && k == 2)))
+        self(self, level + 1);
+      emit(AccessKind::kWrite, level, 200 + level);
+      stack.back().iter += 1;
+    }
+    stack.pop_back();
+  };
+  level_fn(level_fn, 1);
+  AccessEvent free_ev;
+  free_ev.addr = 0x4000 + 16;
+  free_ev.kind = AccessKind::kFree;
+  free_ev.ts = ++ts;
+  t.events.push_back(free_ev);
+  return t;
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+/// Events equal field by field, contexts compared by nest shape and entry
+/// iterations (readers re-intern fresh forest ids).
+void expect_same_events(const Trace& got, const Trace& want) {
+  const NestForest& forest = nest_forest();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const AccessEvent& a = got.events[i];
+    const AccessEvent& b = want.events[i];
+    EXPECT_EQ(a.addr, b.addr) << i;
+    EXPECT_EQ(a.kind, b.kind) << i;
+    EXPECT_EQ(a.flags, b.flags) << i;
+    EXPECT_EQ(a.ts, b.ts) << i;
+    EXPECT_EQ(a.tid, b.tid) << i;
+    EXPECT_EQ(a.loc, b.loc) << i;
+    EXPECT_EQ(a.var, b.var) << i;
+    EXPECT_EQ(a.iter, b.iter) << i;
+    ASSERT_EQ(forest.depth(a.ctx), forest.depth(b.ctx)) << i;
+    for (std::uint32_t x = a.ctx, y = b.ctx; x != NestForest::kRoot;
+         x = forest.parent(x), y = forest.parent(y)) {
+      EXPECT_EQ(forest.loop(x), forest.loop(y)) << i;
+      // Readers derive entry iterations down to depth kNestIters + 1 only.
+      if (forest.depth(x) <= kNestIters + 1) {
+        EXPECT_EQ(forest.entry_iter(x), forest.entry_iter(y)) << i;
+      }
+    }
+  }
+}
+
+TEST(TraceIo, TenDeepNestFilesMatchCommittedBytes) {
+  // tests/data/nest10.{trc,repro} were written from this stream by events
+  // that carried the iteration window themselves; the writers rebuild the
+  // window from the forest and must reproduce those files byte for byte.
+  const Trace t = ten_deep_nest();
+  const std::string dir = DEPPROF_TEST_DATA_DIR;
+  const std::string path = "/tmp/depprof_nest10_test.trc";
+  ASSERT_TRUE(write_trace(t, path));
+  EXPECT_EQ(file_bytes(path), file_bytes(dir + "/nest10.trc"));
+  std::remove(path.c_str());
+  ReproCase rc;
+  rc.note = "10-deep nest golden";
+  rc.trace = t;
+  rc.cfg.mt_targets = true;
+  EXPECT_EQ(format_repro(rc), file_bytes(dir + "/nest10.repro"));
+
+  // Reading them back gives the same events.
+  Trace back;
+  ASSERT_TRUE(read_trace(back, dir + "/nest10.trc"));
+  expect_same_events(back, t);
+  ReproCase parsed;
+  std::string err;
+  ASSERT_TRUE(read_repro(parsed, dir + "/nest10.repro", &err)) << err;
+  expect_same_events(parsed.trace, t);
+  EXPECT_EQ(format_repro(parsed), file_bytes(dir + "/nest10.repro"));
 }
 
 TEST(TraceIo, RejectsMissingAndMalformedFiles) {
