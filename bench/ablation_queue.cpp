@@ -22,8 +22,8 @@ using namespace depprof;
 
 namespace {
 
-void pour_and_drain(benchmark::State& state, QueueKind kind) {
-  auto q = make_queue<std::uint64_t>(kind, 1024);
+void pour_and_drain(benchmark::State& state, QueueKind kind, bool mp) {
+  auto q = make_queue<std::uint64_t>(kind, mp, 1024);
   for (auto _ : state) {
     for (std::uint64_t i = 0; i < 1024; ++i) benchmark::DoNotOptimize(q->try_push(i));
     std::uint64_t v;
@@ -32,25 +32,14 @@ void pour_and_drain(benchmark::State& state, QueueKind kind) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1024);
 }
 
-void BM_SpscPourDrain(benchmark::State& state) {
-  pour_and_drain(state, QueueKind::kLockFreeSpsc);
-}
-BENCHMARK(BM_SpscPourDrain);
+BENCHMARK_CAPTURE(pour_and_drain, spsc, QueueKind::kLockFree, false);
+BENCHMARK_CAPTURE(pour_and_drain, mpmc, QueueKind::kLockFree, true);
+BENCHMARK_CAPTURE(pour_and_drain, mutex, QueueKind::kMutex, false);
 
-void BM_MpmcPourDrain(benchmark::State& state) {
-  pour_and_drain(state, QueueKind::kLockFreeMpmc);
-}
-BENCHMARK(BM_MpmcPourDrain);
-
-void BM_MutexPourDrain(benchmark::State& state) {
-  pour_and_drain(state, QueueKind::kMutex);
-}
-BENCHMARK(BM_MutexPourDrain);
-
-void threaded_transfer(benchmark::State& state, QueueKind kind) {
+void threaded_transfer(benchmark::State& state, QueueKind kind, bool mp) {
   constexpr std::uint64_t kItems = 50'000;
   for (auto _ : state) {
-    auto q = make_queue<std::uint64_t>(kind, 256);
+    auto q = make_queue<std::uint64_t>(kind, mp, 256);
     std::thread consumer([&] {
       std::uint64_t got = 0, v = 0;
       while (got < kItems) {
@@ -69,20 +58,12 @@ void threaded_transfer(benchmark::State& state, QueueKind kind) {
                           static_cast<std::int64_t>(kItems));
 }
 
-void BM_SpscThreaded(benchmark::State& state) {
-  threaded_transfer(state, QueueKind::kLockFreeSpsc);
-}
-BENCHMARK(BM_SpscThreaded)->Unit(benchmark::kMillisecond);
-
-void BM_MpmcThreaded(benchmark::State& state) {
-  threaded_transfer(state, QueueKind::kLockFreeMpmc);
-}
-BENCHMARK(BM_MpmcThreaded)->Unit(benchmark::kMillisecond);
-
-void BM_MutexThreaded(benchmark::State& state) {
-  threaded_transfer(state, QueueKind::kMutex);
-}
-BENCHMARK(BM_MutexThreaded)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(threaded_transfer, spsc, QueueKind::kLockFree, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(threaded_transfer, mpmc, QueueKind::kLockFree, true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(threaded_transfer, mutex, QueueKind::kMutex, false)
+    ->Unit(benchmark::kMillisecond);
 
 /// End-to-end: the Fig. 5 lock-based vs lock-free comparison on one NAS
 /// analogue, sweeping the chunk size.  Queue costs are per *chunk*, so the
@@ -94,12 +75,12 @@ void end_to_end(obs::BenchReport& report) {
   if (w == nullptr) return;
   std::printf("\nEnd-to-end pipeline on '%s' (8 workers), sim slowdown:\n",
               w->name.c_str());
-  std::printf("  %-10s %-12s %-15s %s\n", "chunk", "mutex", "lock-free-spsc",
+  std::printf("  %-10s %-12s %-15s %s\n", "chunk", "mutex", "lock-free",
               "mutex/lock-free");
   for (std::size_t chunk : {std::size_t{1}, std::size_t{16}, std::size_t{512}}) {
     double sim[2] = {};
     int idx = 0;
-    for (QueueKind kind : {QueueKind::kMutex, QueueKind::kLockFreeSpsc}) {
+    for (QueueKind kind : {QueueKind::kMutex, QueueKind::kLockFree}) {
       ProfilerConfig cfg;
       cfg.storage = StorageKind::kSignature;
       cfg.slots = 1u << 17;

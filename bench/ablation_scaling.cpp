@@ -58,7 +58,6 @@ int main(int argc, char** argv) {
       cfg.storage = StorageKind::kSignature;
       cfg.slots = (1u << 21) / wc;
       cfg.workers = wc;
-      cfg.queue = QueueKind::kLockFreeSpsc;
       RunOptions popts = opts;
       popts.parallel_pipeline = true;
       const RunMeasurement m = profile_workload(*w, cfg, popts);

@@ -16,7 +16,7 @@
 
 #include "common/timer.hpp"
 #include "core/detector.hpp"
-#include "core/profiler.hpp"
+#include "core/serial_profiler.hpp"
 #include "obs/bench_report.hpp"
 #include "sig/hash_table_recorder.hpp"
 #include "sig/packed_shadow_store.hpp"
@@ -181,11 +181,12 @@ Spread spread(std::vector<double> v) {
   return {quantile(v, 0.5), q3 - q1};
 }
 
-obs::PipelineSnapshot replay_stages(const Trace& t, StorageKind storage) {
+/// Stage counters of one serial-profiler replay over store type `Store`.
+template <typename Store>
+obs::PipelineSnapshot replay_stages(const Trace& t) {
   ProfilerConfig cfg;
-  cfg.storage = storage;
   cfg.slots = 1u << 18;
-  auto prof = make_serial_profiler(cfg);
+  auto prof = make_serial_profiler_over<Store>(cfg);
   replay(t, *prof);
   return prof->stats().stages;
 }
@@ -239,11 +240,13 @@ void machine_report() {
               "1.5-3.7x)\n",
               ratio.median, kSamples, ratio.iqr);
 
-  report.stages("serial_signature", replay_stages(t, StorageKind::kSignature));
-  report.stages("serial_hashtable", replay_stages(t, StorageKind::kHashTable));
-  report.stages("serial_shadow", replay_stages(t, StorageKind::kShadow));
-  report.stages("serial_perfect", replay_stages(t, StorageKind::kPerfect));
-  report.stages("serial_packed", replay_stages(t, StorageKind::kPacked));
+  report.stages("serial_signature", replay_stages<Signature<SeqSlot>>(t));
+  report.stages("serial_hashtable",
+                replay_stages<HashTableRecorder<SeqSlot>>(t));
+  report.stages("serial_shadow", replay_stages<ShadowMemory<SeqSlot>>(t));
+  report.stages("serial_perfect",
+                replay_stages<PerfectSignature<SeqSlot>>(t));
+  report.stages("serial_packed", replay_stages<PackedShadowStore<SeqSlot>>(t));
   report.write();
 }
 

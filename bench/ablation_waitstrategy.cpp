@@ -5,21 +5,25 @@
 // The paper's pipeline busy-waits (spin) — free when every thread owns a
 // core, ruinous when the host is oversubscribed: spinning workers burn the
 // CPU the producer needs.  This harness replays one fixed trace through the
-// parallel pipeline, sweeping wait strategy x worker count, and reports
+// parallel pipeline, sweeping wait strategy x worker count (kReps
+// interleaved runs per point; the median-throughput run is reported), and
+// reports
 //   * wall time and events/s (throughput),
 //   * worker idle CPU seconds (cycles burned while waiting — the cost spin
 //     pays and park avoids),
 //   * parked seconds, producer block seconds, and wake counts (the
 //     backpressure counters of obs::StageStats).
 //
-// Expected shape: with few workers (cores free) all strategies are within
-// ~10% throughput; oversubscribed, park slashes idle CPU burn relative to
+// Expected shape: with few workers (cores free) park is within ~10% of
+// spin's throughput; oversubscribed, park slashes idle CPU burn relative to
 // spin.  BENCH_ablation_waitstrategy.json carries the metrics and per-stage
 // breakdowns.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/timer.hpp"
 #include "core/profiler.hpp"
@@ -69,6 +73,16 @@ RunResult run_once(const Trace& t, WaitKind wait, unsigned workers) {
   return r;
 }
 
+/// The run of median throughput among a point's (odd count of) runs.
+RunResult median_run(std::vector<RunResult> runs) {
+  const auto mid = runs.begin() + static_cast<std::ptrdiff_t>(runs.size() / 2);
+  std::nth_element(runs.begin(), mid, runs.end(),
+                   [](const RunResult& a, const RunResult& b) {
+                     return a.events_per_sec < b.events_per_sec;
+                   });
+  return *mid;
+}
+
 }  // namespace
 
 int main() {
@@ -93,18 +107,27 @@ int main() {
               "wait", "wall_s", "events/s", "idlecpu_s", "parked_s", "block_s",
               "wakes");
 
-  double spin_eps[2] = {}, park_eps[2] = {};
-  double spin_idle[2] = {}, park_idle[2] = {};
+  constexpr WaitKind kWaits[] = {WaitKind::kSpin, WaitKind::kPark};
+  constexpr int kReps = 5;
+  report.metric("reps", kReps);
+  // Median-throughput run per point, [few|many][spin|park].
+  RunResult med[2][2];
   int idx = 0;
   for (unsigned workers : {few, many}) {
-    for (WaitKind wait : {WaitKind::kSpin, WaitKind::kYield, WaitKind::kPark}) {
-      const RunResult r = run_once(t, wait, workers);
+    // Interleave the strategies run by run so host drift hits both alike.
+    std::vector<RunResult> runs[2];
+    for (int rep = 0; rep < kReps; ++rep)
+      for (int k = 0; k < 2; ++k)
+        runs[k].push_back(run_once(t, kWaits[k], workers));
+    for (int k = 0; k < 2; ++k) {
+      const RunResult& r = med[idx][k] = median_run(std::move(runs[k]));
+      const char* wait = wait_kind_name(kWaits[k]);
       std::printf("  %-8u %-8s %-10.3f %-12.3e %-11.3f %-10.3f %-10.3f %llu\n",
-                  workers, wait_kind_name(wait), r.wall_sec, r.events_per_sec,
+                  workers, wait, r.wall_sec, r.events_per_sec,
                   r.idle_cpu_sec, r.parked_sec, r.block_sec,
                   static_cast<unsigned long long>(r.wakes));
       const std::string tag =
-          std::string(wait_kind_name(wait)) + "_w" + std::to_string(workers);
+          std::string(wait) + "_w" + std::to_string(workers);
       report.metric(tag + "_wall_sec", r.wall_sec);
       report.metric(tag + "_events_per_sec", r.events_per_sec);
       report.metric(tag + "_idle_cpu_sec", r.idle_cpu_sec);
@@ -112,23 +135,18 @@ int main() {
       report.metric(tag + "_block_sec", r.block_sec);
       report.metric(tag + "_wakes", static_cast<double>(r.wakes));
       report.stages(tag, r.stages);
-      if (wait == WaitKind::kSpin) {
-        spin_eps[idx] = r.events_per_sec;
-        spin_idle[idx] = r.idle_cpu_sec;
-      } else if (wait == WaitKind::kPark) {
-        park_eps[idx] = r.events_per_sec;
-        park_idle[idx] = r.idle_cpu_sec;
-      }
     }
     ++idx;
   }
 
   // Headline ratios: throughput parity when cores are free, idle-CPU
   // savings when oversubscribed.
+  const double spin_eps = med[0][0].events_per_sec;
+  const double spin_idle = med[1][0].idle_cpu_sec;
   const double parity =
-      spin_eps[0] > 0 ? park_eps[0] / spin_eps[0] : 0.0;
+      spin_eps > 0 ? med[0][1].events_per_sec / spin_eps : 0.0;
   const double idle_cut =
-      spin_idle[1] > 0 ? park_idle[1] / spin_idle[1] : 0.0;
+      spin_idle > 0 ? med[1][1].idle_cpu_sec / spin_idle : 0.0;
   report.metric("park_over_spin_throughput_free_cores", parity);
   report.metric("park_over_spin_idle_cpu_oversubscribed", idle_cut);
   std::printf(

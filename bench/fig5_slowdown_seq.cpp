@@ -48,10 +48,10 @@ int main(int argc, char** argv) {
   }
 
   const ConfigPoint points[] = {
-      {"serial", false, 0, QueueKind::kLockFreeSpsc},
+      {"serial", false, 0, QueueKind::kLockFree},
       {"8T_lock-based", true, 8, QueueKind::kMutex},
-      {"8T_lock-free", true, 8, QueueKind::kLockFreeSpsc},
-      {"16T_lock-free", true, 16, QueueKind::kLockFreeSpsc},
+      {"8T_lock-free", true, 8, QueueKind::kLockFree},
+      {"16T_lock-free", true, 16, QueueKind::kLockFree},
   };
 
   TextTable table("Fig. 5 — profiler slowdown on sequential targets (x native)");

@@ -51,7 +51,6 @@ int main(int argc, char** argv) {
       cfg.slots = 1u << 17;
       cfg.mt_targets = true;
       cfg.workers = worker_counts[c];
-      cfg.queue = QueueKind::kLockFreeMpmc;
 
       RunOptions opts;
       opts.scale = scale;

@@ -73,7 +73,6 @@ int main(int argc, char** argv) {
       cfg.storage = StorageKind::kSignature;
       cfg.slots = slots_per_worker;
       cfg.workers = workers[c];
-      cfg.queue = QueueKind::kLockFreeSpsc;
       RunOptions popts = opts;
       popts.parallel_pipeline = true;
       const RunMeasurement m = profile_workload(*w, cfg, popts);

@@ -64,7 +64,6 @@ int main(int argc, char** argv) {
     naive.storage = StorageKind::kPerfect;
     naive.mt_targets = true;
     naive.workers = 1;
-    naive.queue = QueueKind::kLockFreeMpmc;
     RunOptions nopts = opts;
     nopts.parallel_pipeline = true;
     const RunMeasurement mn = profile_workload(*w, naive, nopts);
@@ -78,7 +77,6 @@ int main(int argc, char** argv) {
       cfg.slots = slots_per_worker;
       cfg.mt_targets = true;
       cfg.workers = workers[c];
-      cfg.queue = QueueKind::kLockFreeMpmc;
       RunOptions popts = opts;
       popts.parallel_pipeline = true;
       const RunMeasurement m = profile_workload(*w, cfg, popts);

@@ -39,7 +39,6 @@ int main(int argc, char** argv) {
   cfg.storage = StorageKind::kPerfect;  // exact deps for the pattern figure
   cfg.mt_targets = true;
   cfg.workers = 4;
-  cfg.queue = QueueKind::kLockFreeMpmc;
 
   RunOptions opts;
   opts.scale = scale;

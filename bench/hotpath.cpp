@@ -35,8 +35,9 @@
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "core/detector.hpp"
-#include "core/profiler.hpp"
-#include "core/store_factory.hpp"
+#include "core/serial_profiler.hpp"
+#include "sig/hash_table_recorder.hpp"
+#include "sig/shadow_memory.hpp"
 #include "trace/nest.hpp"
 #include "obs/bench_report.hpp"
 #include "oracle/diff.hpp"
@@ -166,11 +167,12 @@ struct KernelRun {
 /// of the ratio at random.  Whole-replay throughput (wall clock) is kept as
 /// a context metric: it adds the profiler's hand-off and the merge.
 /// Best-of-reps for both.
+template <typename Store>
 void batched_rep(const ProfilerConfig& cfg,
                  const std::vector<AccessEvent>& stream, bool last,
                  KernelRun& result) {
   constexpr std::size_t kFeed = 4096;
-  auto profiler = make_serial_profiler(cfg);
+  auto profiler = make_serial_profiler_over<Store>(cfg);
   WallTimer t;
   for (std::size_t i = 0; i < stream.size(); i += kFeed)
     profiler->on_batch(stream.data() + i, std::min(kFeed, stream.size() - i));
@@ -194,29 +196,30 @@ void batched_rep(const ProfilerConfig& cfg,
 /// One timed per-event reference run: DetectorCore::process over the
 /// stream, timed in thread-CPU time around that loop alone — the code
 /// region the batched run's detect-stage CPU time covers.
+template <typename Store>
 void per_event_rep(const ProfilerConfig& cfg,
                    const std::vector<AccessEvent>& units, bool last,
                    KernelRun& result) {
-  with_store(cfg, [&]<typename Store>(std::type_identity<Store>) {
-    DetectorCore<Store> core(make_store<Store>(cfg), make_store<Store>(cfg));
-    DepMap deps;
-    ThreadCpuTimer t;
-    for (const AccessEvent& ev : units) core.process(ev, deps);
-    const double eps = static_cast<double>(units.size()) / t.elapsed();
-    if (eps > result.best_eps) result.best_eps = eps;
-    if (last) result.deps = std::move(deps);
-  });
+  DetectorCore<Store> core(make_store<Store>(cfg), make_store<Store>(cfg));
+  DepMap deps;
+  ThreadCpuTimer t;
+  for (const AccessEvent& ev : units) core.process(ev, deps);
+  const double eps = static_cast<double>(units.size()) / t.elapsed();
+  if (eps > result.best_eps) result.best_eps = eps;
+  if (last) result.deps = std::move(deps);
 }
 
 /// Interleaved A/B measurement of both kernels on one backend+stream, with
 /// the byte-identity cross-check.  Returns false (and prints) on divergence.
-bool measure(const ProfilerConfig& cfg, const std::vector<AccessEvent>& stream,
-             int reps, KernelRun& per_event, KernelRun& batched) {
+template <typename Store>
+bool measure(const std::string& name, const ProfilerConfig& cfg,
+             const std::vector<AccessEvent>& stream, int reps,
+             KernelRun& per_event, KernelRun& batched) {
   // Interleave the kernels rep by rep so drift on a noisy host (thermal,
   // neighbours) hits both sides equally; best-of-reps per kernel.
   for (int rep = 0; rep < reps; ++rep) {
-    per_event_rep(cfg, stream, rep == reps - 1, per_event);
-    batched_rep(cfg, stream, rep == reps - 1, batched);
+    per_event_rep<Store>(cfg, stream, rep == reps - 1, per_event);
+    batched_rep<Store>(cfg, stream, rep == reps - 1, batched);
   }
   // The kernels differ only in prefetching, batching, and record
   // aggregation — the maps must be identical or the "ratio" compares
@@ -224,7 +227,7 @@ bool measure(const ProfilerConfig& cfg, const std::vector<AccessEvent>& stream,
   const DepDiff diff = diff_deps(per_event.deps, batched.deps);
   if (!diff.identical()) {
     std::fprintf(stderr, "FAIL: %s: batched kernel diverges:\n%s",
-                 storage_kind_name(cfg.storage),
+                 name.c_str(),
                  format_diff(diff, "per-event", "batched").c_str());
     return false;
   }
@@ -271,10 +274,6 @@ int main(int argc, char** argv) {
   const std::vector<AccessEvent> uniform_stream =
       make_uniform_stream(events / 2, working_set);
 
-  const StorageKind kinds[] = {StorageKind::kSignature, StorageKind::kPerfect,
-                               StorageKind::kShadow, StorageKind::kHashTable,
-                               StorageKind::kPacked};
-
   TextTable table("Detect hot path — batched kernel vs per-event reference, "
                   "detect-stage events/sec (" +
                   std::to_string(events) + " loop-phase events)");
@@ -286,19 +285,19 @@ int main(int argc, char** argv) {
   report.metric("working_set_words", static_cast<double>(working_set));
 
   bool ok = true;
-  for (StorageKind kind : kinds) {
+  // The three live stores plus the Sec. III-B baselines, each built
+  // directly over its store type.
+  auto run_backend = [&]<typename Store>(const std::string& name) {
     ProfilerConfig cfg;
-    cfg.storage = kind;
     cfg.slots = slots;
 
     KernelRun per_event, batched;
-    if (!measure(cfg, loop_stream, reps, per_event, batched)) {
+    if (!measure<Store>(name, cfg, loop_stream, reps, per_event, batched)) {
       ok = false;
-      continue;
+      return;
     }
 
     const double ratio = batched.best_eps / per_event.best_eps;
-    const std::string name = storage_kind_name(kind);
     table.add_row({name, TextTable::num(per_event.best_eps),
                    TextTable::num(batched.best_eps), TextTable::num(ratio)});
     report.metric(name + "_perevent_eps", per_event.best_eps);
@@ -315,17 +314,23 @@ int main(int argc, char** argv) {
                    "(below the 0.7 noise floor)\n", name.c_str(), ratio);
       ok = false;
     }
-  }
+  };
+  run_backend.operator()<Signature<SeqSlot>>("signature");
+  run_backend.operator()<PerfectSignature<SeqSlot>>("perfect");
+  run_backend.operator()<ShadowMemory<SeqSlot>>("shadow");
+  run_backend.operator()<HashTableRecorder<SeqSlot>>("hashtable");
+  run_backend.operator()<PackedShadowStore<SeqSlot>>("packed");
 
   // Adversarial secondary (signature backend only): random locations defeat
   // record aggregation, so this reports the batched kernel's bounded
   // worst-case overhead rather than a win.
   {
     ProfilerConfig cfg;
-    cfg.storage = StorageKind::kSignature;
     cfg.slots = slots;
     KernelRun per_event, batched;
-    if (!measure(cfg, uniform_stream, reps, per_event, batched)) {
+    if (!measure<Signature<SeqSlot>>("signature (uniform)", cfg,
+                                     uniform_stream, reps, per_event,
+                                     batched)) {
       ok = false;
     } else {
       const double ratio = batched.best_eps / per_event.best_eps;

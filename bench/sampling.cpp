@@ -94,6 +94,7 @@ struct RunResult {
   std::uint64_t bursts = 0;
   std::uint64_t overhead_ppm = 0;
   DepMap deps;
+  obs::PipelineSnapshot stages;  ///< final rep's per-stage counters
 };
 
 /// One profiled configuration, best-of-`reps` wall time; counters and the
@@ -121,6 +122,7 @@ RunResult run_point(const ProfilerConfig& cfg, bool parallel,
         result.overhead_ppm = p->sampled_overhead_ppm;
       }
       result.deps = profiler->take_dependences();
+      result.stages = snap;
     }
   }
   return result;
@@ -204,6 +206,7 @@ int main(int argc, char** argv) {
   report.metric("workers", static_cast<double>(workers));
   report.metric("native_sec", native_sec);
   report.metric("full_edges", static_cast<double>(reference.deps.size()));
+  report.stages("reference", reference.stages);
 
   bool ok = true;
   double recalls[kDutyCount] = {};
@@ -276,6 +279,11 @@ int main(int argc, char** argv) {
     report.metric(key + "_eps", eps);
     report.metric(key + "_overhead", overhead);
     report.metric(key + "_bursts", static_cast<double>(serial.bursts));
+    // Stage breakdowns of the first gapped point, serial and parallel.
+    if (d == 1) {
+      report.stages(key + "/serial", serial.stages);
+      report.stages(key + "/parallel", parallel.stages);
+    }
   }
 
   // Deterministic curve gates: lowering the duty cycle may only lose

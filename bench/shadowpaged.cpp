@@ -35,10 +35,11 @@
 #include "common/mem_stats.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
-#include "core/profiler.hpp"
+#include "core/serial_profiler.hpp"
 #include "obs/bench_report.hpp"
 #include "oracle/diff.hpp"
-#include "sig/packed_shadow_store.hpp"
+#include "sig/hash_table_recorder.hpp"
+#include "sig/shadow_memory.hpp"
 #include "trace/event.hpp"
 
 using namespace depprof;
@@ -82,21 +83,18 @@ void feed(IProfiler& prof, std::uint64_t words) {
   if (fill > 0) prof.on_batch(buf.data(), fill);
 }
 
-bool measure(StorageKind storage, std::uint64_t words, int reps,
-             SweepRun& out) {
+/// One sweep point over exact store type `Store`.
+template <typename Store>
+void measure(std::uint64_t words, int reps, SweepRun& out) {
   for (int rep = 0; rep < reps; ++rep) {
     ProfilerConfig cfg;
-    cfg.storage = storage;
-    cfg.slots = std::size_t{1} << 18;  // signature-family sizing; exact
-                                       // backends grow with content
-    // For the chained hash table `slots` is the *bucket* count: size it to
-    // the working set (load factor ~1, the stand-in for a growing map).  A
-    // fixed 2^18-bucket table at 64M+ entries would measure O(chain) walks,
-    // not the store — the packed claim is against a well-sized table.
-    if (storage == StorageKind::kHashTable)
-      cfg.slots = static_cast<std::size_t>(std::bit_ceil(words));
-    auto prof = make_serial_profiler(cfg);
-    if (prof == nullptr) return false;
+    // Only the chained hash table reads `slots`, as its *bucket* count: size
+    // it to the working set (load factor ~1, the stand-in for a growing
+    // map).  A fixed 2^18-bucket table at 64M+ entries would measure
+    // O(chain) walks, not the store — the packed claim is against a
+    // well-sized table.  The other exact stores grow with content.
+    cfg.slots = static_cast<std::size_t>(std::bit_ceil(words));
+    auto prof = make_serial_profiler_over<Store>(cfg);
     feed(*prof, words);
     prof->finish();
     out.store_bytes = MemStats::instance().bytes(MemComponent::kStore);
@@ -113,7 +111,6 @@ bool measure(StorageKind storage, std::uint64_t words, int reps,
     if (eps > out.best_eps) out.best_eps = eps;
     if (rep == reps - 1) out.deps = prof->take_dependences();
   }
-  return true;
 }
 
 std::string point_name(std::uint64_t words) {
@@ -154,10 +151,6 @@ int main(int argc, char** argv) {
       points.push_back(w);
   }
 
-  const StorageKind backends[] = {StorageKind::kPacked,
-                                  StorageKind::kHashTable,
-                                  StorageKind::kShadow};
-
   TextTable table("Exact-store working-set sweep — detect-stage events/sec "
                   "(one write + one read per word)");
   table.set_header({"words", "packed ev/s", "hashtable ev/s", "shadow ev/s",
@@ -169,17 +162,10 @@ int main(int argc, char** argv) {
   bool ok = true;
   for (const std::uint64_t words : points) {
     const std::string pt = point_name(words);
-    SweepRun runs[3];
-    for (int b = 0; b < 3; ++b) {
-      if (!measure(backends[b], words, reps, runs[b])) {
-        std::fprintf(stderr, "FAIL: %s: profiler construction failed\n",
-                     storage_kind_name(backends[b]));
-        return 1;
-      }
-    }
-    SweepRun& packed = runs[0];
-    SweepRun& hashtable = runs[1];
-    SweepRun& shadow = runs[2];
+    SweepRun packed, hashtable, shadow;
+    measure<PackedShadowStore<SeqSlot>>(words, reps, packed);
+    measure<HashTableRecorder<SeqSlot>>(words, reps, hashtable);
+    measure<ShadowMemory<SeqSlot>>(words, reps, shadow);
 
     // Identity: the three exact backends must agree with each other (and,
     // at smoke/small sizes, with the perfect-signature reference) — a
@@ -192,7 +178,7 @@ int main(int argc, char** argv) {
     }
     if (words <= (std::uint64_t{1} << 22)) {
       SweepRun perfect;
-      if (!measure(StorageKind::kPerfect, words, 1, perfect)) return 1;
+      measure<PerfectSignature<SeqSlot>>(words, 1, perfect);
       const DepDiff pp = diff_deps(packed.deps, perfect.deps);
       if (!pp.identical()) {
         std::fprintf(stderr, "FAIL: %s: packed diverges from perfect:\n%s",

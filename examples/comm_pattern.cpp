@@ -38,7 +38,6 @@ int main(int argc, char** argv) {
   cfg.storage = StorageKind::kPerfect;  // exact dependences for the figure
   cfg.mt_targets = true;
   cfg.workers = 4;
-  cfg.queue = QueueKind::kLockFreeMpmc;
 
   RunOptions opts;
   opts.target_threads = threads;

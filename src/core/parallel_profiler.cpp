@@ -21,7 +21,7 @@
 //
 // Waiting is a policy (queue/wait_strategy.hpp): the three blocking sites —
 // idle workers, producers facing a full queue, and the migration-mailbox
-// handoff — run the configured spin/yield/park strategy instead of spinning
+// handoff — run the configured spin/park strategy instead of spinning
 // unboundedly, with per-site backpressure accounting in the obs counters
 // and wake hooks so that parked threads are woken by whoever unblocks them
 // (including the stop sentinels at shutdown).
@@ -56,27 +56,13 @@ std::uint64_t next_instance_id() {
   return next.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-/// Chunk-pool population plan.  Auto sizing covers the pipeline's maximum
+/// Chunk-pool population plan.  It covers the pipeline's maximum
 /// in-flight census — per worker: a full queue (capacity rounds up to a
 /// power of two) + one chunk being processed + one staged in the producer —
 /// plus slack for the stop sentinels and a migration pair in flight.  With
 /// that population a sealed acquire can always be satisfied by a future
 /// release, so blocking instead of allocating cannot deadlock.
 std::size_t planned_pool_chunks(const ProfilerConfig& cfg, unsigned workers) {
-  if (cfg.pool_chunks != 0) {
-    // Liveness floor for an explicit population.  The producer alone can
-    // pin one pending (staged, part-full) chunk per worker plus the one it
-    // is acquiring; every other chunk in flight (queued, being processed,
-    // migration pair) is eventually released by a live worker.  Below
-    // workers + 2 a sealed pool can deadlock: with pool_chunks = 1 and two
-    // workers the producer stages its only chunk for worker 0, then blocks
-    // forever acquiring one for worker 1 — the pending never flushes while
-    // the producer is blocked, and the workers have nothing to recycle.
-    // Sampling makes the quiescent-producer window routine (a skipped unit
-    // produces nothing), so the floor is enforced rather than documented.
-    const std::size_t floor = static_cast<std::size_t>(workers) + 2;
-    return std::max(cfg.pool_chunks, floor);
-  }
   const std::size_t qcap =
       SpscQueue<Chunk*>::round_up_pow2(cfg.queue_capacity);
   return workers * (qcap + 2) + 8;
@@ -131,16 +117,14 @@ class ParallelProfiler final : public IProfiler {
     // spawned: an attached thread parks at its next schedule point until
     // the census is met, and this thread is the one doing the spawning.
     sched::expect_threads(static_cast<std::size_t>(w) + 1);
-    // Multiple producers (MT targets) need multi-producer queues regardless
-    // of the configured kind; the mutex queue supports both multiplicities.
-    QueueKind qk = cfg_.queue;
-    if (cfg_.mt_targets && qk == QueueKind::kLockFreeSpsc)
-      qk = QueueKind::kLockFreeMpmc;
+    // Multiple producers (MT targets) need multi-producer queues: the
+    // lock-free kind is an MPMC ring for them and an SPSC ring otherwise.
     detectors_.reserve(w);
     for (unsigned i = 0; i < w; ++i) {
       detectors_.push_back(std::make_unique<DetectStage<Store>>(
           std::move(read_sigs[i]), std::move(write_sigs[i]), obs_.detect(i)));
-      queues_.push_back(make_queue<Chunk*>(qk, cfg_.queue_capacity));
+      queues_.push_back(make_queue<Chunk*>(cfg_.queue, cfg_.mt_targets,
+                                           cfg_.queue_capacity));
     }
     for (std::uint32_t i = 0; i < kMailboxCount; ++i)
       (void)mailbox_free_.try_push(i);

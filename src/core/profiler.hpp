@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/dep.hpp"
@@ -20,16 +21,19 @@
 
 namespace depprof {
 
-/// Which access store backs Algorithm 1.
+/// Which access store backs Algorithm 1.  The Sec. III-B cost baselines
+/// (ShadowMemory, HashTableRecorder) are not offered here: the benches build
+/// SerialProfiler over them directly (core/serial_profiler.hpp).
 enum class StorageKind {
   kSignature,  ///< fixed-size signature (the paper's design)
-  kPerfect,    ///< collision-free baseline (Sec. VI-A)
-  kShadow,     ///< multi-level shadow memory baseline (Sec. III-B)
-  kHashTable,  ///< chained hash table baseline (Sec. III-B)
+  kPerfect,    ///< collision-free baseline (Sec. VI-A, Table I, Figs. 7/8)
   kPacked,     ///< SLAMP-style paged shadow memory, packed 64-bit words
 };
 
 const char* storage_kind_name(StorageKind kind);
+
+/// Parses a --storage / repro `storage=` value; false on unknown names.
+bool parse_storage_kind(std::string_view name, StorageKind& out);
 
 /// Load-balancing knobs (Sec. IV-A).
 struct LoadBalanceConfig {
@@ -69,7 +73,9 @@ struct ProfilerConfig {
 
   // Parallel pipeline (ignored by the serial profiler).
   unsigned workers = 8;
-  QueueKind queue = QueueKind::kLockFreeSpsc;
+  /// Lock-free rings are SPSC for sequential targets and MPMC for
+  /// multi-threaded ones (mt_targets picks); kMutex is the Fig. 5 baseline.
+  QueueKind queue = QueueKind::kLockFree;
   std::size_t chunk_size = 512;          ///< accesses per chunk (<= Chunk capacity)
   std::size_t queue_capacity = 64;       ///< chunks per worker queue
   /// How pipeline threads wait at the three blocking sites (idle workers,
@@ -111,15 +117,6 @@ struct ProfilerConfig {
   /// schedule (budget is then ignored) — the mode the equivalence matrix,
   /// the depfuzz lattice, and bench/sampling sweep.
   unsigned sampling_skip = 0;
-  /// Chunks preallocated by the pipeline's pool before the target starts
-  /// running (0 = auto: enough for full queues + in-flight + migration).
-  /// For sequential targets the pool is *sealed* to this population — an
-  /// empty free list blocks for a recycled chunk instead of allocating, so
-  /// steady-state profiling never touches the heap the target is mutating
-  /// (the root cause of the unpacked cross-attribution flake; see
-  /// core/chunk.hpp).  MT targets keep a growable pool, seeded to the same
-  /// size.
-  std::size_t pool_chunks = 0;
 };
 
 /// Post-run statistics.  Both profilers fill every field the same way: the

@@ -5,39 +5,28 @@
 // once, when a profiler is built.  Everything downstream of this file is a
 // fully monomorphized DetectorCore<Store> instantiation: the per-access
 // detect loop never branches (or virtually dispatches) on the backend.
+// make_store also builds the Sec. III-B baselines (ShadowMemory,
+// HashTableRecorder), which the benches instantiate directly.
 
 #include <type_traits>
 
 #include "core/profiler.hpp"
 #include "sig/access_store.hpp"
-#include "sig/hash_table_recorder.hpp"
 #include "sig/packed_shadow_store.hpp"
 #include "sig/perfect_signature.hpp"
-#include "sig/shadow_memory.hpp"
 #include "sig/signature.hpp"
 #include "sig/slots.hpp"
 
 namespace depprof {
-
-namespace detail {
-template <typename T>
-struct is_signature : std::false_type {};
-template <typename S>
-struct is_signature<Signature<S>> : std::true_type {};
-template <typename T>
-struct is_hash_table : std::false_type {};
-template <typename S>
-struct is_hash_table<HashTableRecorder<S>> : std::true_type {};
-}  // namespace detail
 
 /// Builds one empty store of the given backend from the configuration.
 /// Signature sizing (slots, hash) and hash-table bucket counts come from the
 /// config; the exact baselines start empty.
 template <AccessStore Store>
 Store make_store(const ProfilerConfig& c) {
-  if constexpr (detail::is_signature<Store>::value)
+  if constexpr (std::is_constructible_v<Store, std::size_t, SigHash>)
     return Store(c.slots, c.sig_hash);
-  else if constexpr (detail::is_hash_table<Store>::value)
+  else if constexpr (std::is_constructible_v<Store, std::size_t>)
     return Store(c.slots);
   else
     return Store{};
@@ -46,7 +35,7 @@ Store make_store(const ProfilerConfig& c) {
 /// Resolves (storage kind, target kind) to a concrete store type and calls
 /// `fn` with a std::type_identity tag for it.  This switch is the single
 /// place the StorageKind enum is branched on; both profiler factories go
-/// through it, which is what makes every backend available to both the
+/// through it, which is what makes every live backend available to both the
 /// serial profiler and the parallel pipeline.
 template <typename Fn>
 auto with_store(const ProfilerConfig& c, Fn&& fn) {
@@ -54,10 +43,6 @@ auto with_store(const ProfilerConfig& c, Fn&& fn) {
     switch (c.storage) {
       case StorageKind::kPerfect:
         return fn(std::type_identity<PerfectSignature<Slot>>{});
-      case StorageKind::kShadow:
-        return fn(std::type_identity<ShadowMemory<Slot>>{});
-      case StorageKind::kHashTable:
-        return fn(std::type_identity<HashTableRecorder<Slot>>{});
       case StorageKind::kPacked:
         return fn(std::type_identity<PackedShadowStore<Slot>>{});
       case StorageKind::kSignature:

@@ -9,7 +9,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "queue/queues.hpp"
 #include "trace/nest.hpp"
 
 namespace depprof {
@@ -17,7 +16,7 @@ namespace {
 
 // The one accepted grammar: any other first line, an earlier version
 // included, is a parse error.
-constexpr std::string_view kVersionLine = "depfuzz-repro v8";
+constexpr std::string_view kVersionLine = "depfuzz-repro v9";
 
 // Every key the writer emits on the config and lb lines is hard-required
 // on read: a repro that omitted one would silently replay under whatever
@@ -41,24 +40,6 @@ struct NestParseState {
 
 const char* sig_hash_name(SigHash h) {
   return h == SigHash::kModulo ? "modulo" : "mix";
-}
-
-bool parse_storage(std::string_view v, StorageKind& out) {
-  if (v == "signature") out = StorageKind::kSignature;
-  else if (v == "perfect") out = StorageKind::kPerfect;
-  else if (v == "shadow") out = StorageKind::kShadow;
-  else if (v == "hashtable") out = StorageKind::kHashTable;
-  else if (v == "packed") out = StorageKind::kPacked;
-  else return false;
-  return true;
-}
-
-bool parse_queue(std::string_view v, QueueKind& out) {
-  if (v == "lock-free-spsc") out = QueueKind::kLockFreeSpsc;
-  else if (v == "lock-free-mpmc") out = QueueKind::kLockFreeMpmc;
-  else if (v == "mutex") out = QueueKind::kMutex;
-  else return false;
-  return true;
 }
 
 bool parse_sig_hash(std::string_view v, SigHash& out) {
@@ -164,14 +145,14 @@ bool parse_config_line(const std::vector<std::string_view>& toks,
     if (!note_key(keys, key, err)) return false;
     std::uint64_t u = 0;
     bool ok;
-    if (key == "storage") ok = parse_storage(value, cfg.storage);
+    if (key == "storage") ok = parse_storage_kind(value, cfg.storage);
     else if (key == "slots") ok = parse_u64(value, u), cfg.slots = u;
     else if (key == "sighash") ok = parse_sig_hash(value, cfg.sig_hash);
     else if (key == "mt") ok = parse_bool(value, cfg.mt_targets);
     else if (key == "workers")
       ok = parse_u64(value, u), cfg.workers = static_cast<unsigned>(u);
-    else if (key == "queue") ok = parse_queue(value, cfg.queue);
-    else if (key == "wait") ok = parse_wait_kind(std::string(value).c_str(), cfg.wait);
+    else if (key == "queue") ok = parse_queue_kind(value, cfg.queue);
+    else if (key == "wait") ok = parse_wait_kind(value, cfg.wait);
     else if (key == "chunk") ok = parse_u64(value, u), cfg.chunk_size = u;
     else if (key == "qcap") ok = parse_u64(value, u), cfg.queue_capacity = u;
     else if (key == "modulo_routing") ok = parse_bool(value, cfg.modulo_routing);

@@ -6,11 +6,11 @@
 // tests/corpus/ is replayed by the corpus regression test on each CI run,
 // turning yesterday's fuzz finding into tomorrow's regression gate.
 //
-//   depfuzz-repro v8
+//   depfuzz-repro v9
 //   # free-form provenance comment
 //   note <one-line description>
 //   config storage=perfect slots=1048576 sighash=modulo mt=1 workers=4
-//          ... queue=lock-free-spsc wait=park chunk=7 qcap=64 modulo_routing=0
+//          ... queue=lock-free wait=park chunk=7 qcap=64 modulo_routing=0
 //          ... dedup=1 budget=1 burst=8 skip=0 races=1
 //   lb enabled=1 sample_shift=0 interval=200 threshold=1.25 top_k=10
 //          ... max_rounds=64
@@ -24,7 +24,7 @@
 //
 // (`config` and `lb` are single lines; they are wrapped here for the
 // comment only.)  `ev` kinds are R / W / F.  The strict parser rejects,
-// with the offending line number: any version line but `depfuzz-repro v8`,
+// with the offending line number: any version line but `depfuzz-repro v9`,
 // unknown directives or keys, duplicate keys within a line, a config or
 // lb line missing any of its keys, a missing or duplicate config/lb line,
 // a duplicate sched line, and any directive other than `note` appearing
@@ -73,12 +73,12 @@ struct ReproCase {
   sched::ScheduleTrace schedule;
 };
 
-/// Renders `repro` in the v8 grammar above (the sched section is present
+/// Renders `repro` in the v9 grammar above (the sched section is present
 /// only when the case carries one).
 std::string format_repro(const ReproCase& repro);
 
 /// Strict parser: returns false and sets `error` (when non-null, prefixed
-/// with the offending line number) on any version line but v8, unknown
+/// with the offending line number) on any version line but v9, unknown
 /// directive, unknown or duplicate key, malformed value, missing key,
 /// duplicate config/lb/sched line, directive before the config line, or
 /// missing section.

@@ -10,6 +10,7 @@
 #include "oracle/diff.hpp"
 #include "oracle/exact_oracle.hpp"
 #include "sig/fpr_model.hpp"
+#include "trace/generators.hpp"
 #include "trace/nest.hpp"
 
 namespace depprof {
@@ -310,6 +311,33 @@ CaseOutcome run_case(const Trace& trace, const ProfilerConfig& cfg,
     }
   }
   return out;
+}
+
+std::vector<NamedTrace> smoke_traces(std::size_t accesses,
+                                     std::size_t distinct) {
+  GenParams p;
+  p.accesses = accesses;
+  p.distinct = distinct;
+  std::vector<NamedTrace> traces;
+  traces.push_back({"uniform", gen_uniform(p), false});
+  traces.push_back({"strided", gen_strided(p), false});
+  traces.push_back({"zipf", gen_zipf(p, 1.2), false});
+  GenParams lp = p;
+  lp.distinct = 256;
+  traces.push_back({"loop-carried", gen_loop(lp, 24, true), false});
+  GenParams cp = p;
+  cp.distinct = 512;
+  traces.push_back({"churn", gen_churn(cp, 0.3), false});
+  // Nested traces: a deep imperfect nest (zero-iteration inner entries,
+  // sibling re-entry) and churn stamped under a three-deep nest — the cases
+  // that exercise common-loop attribution.
+  GenParams np = p;
+  np.accesses = accesses;
+  traces.push_back({"nest3", gen_nest(np, 3, 4), false});
+  traces.push_back({"churn-nest", gen_churn(cp, 0.2, 0, 3), false});
+  traces.push_back({"mt-pc", gen_mt_producer_consumer(p, 4, 64), true});
+  traces.push_back({"mt-churn", gen_churn(cp, 0.25, 4), true});
+  return traces;
 }
 
 }  // namespace depprof

@@ -6,7 +6,7 @@
 // and the parallel profiler over the same trace and checks the paper's
 // correctness contract:
 //
-//   * exact stores (PerfectSignature, ShadowMemory, HashTableRecorder) and
+//   * exact stores (PerfectSignature, PackedShadowStore) and
 //     signatures operating in the collision-free regime must produce maps
 //     byte-identical to the oracle — keys, instance counts, qualifier
 //     flags, carried loops and distances;
@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/profiler.hpp"
 #include "sched/sched.hpp"
@@ -135,5 +136,18 @@ SubsetReport check_sampled_subset(const DepMap& full, const DepMap& sampled);
 /// sampled oracle.
 CaseOutcome run_case(const Trace& trace, const ProfilerConfig& cfg,
                      const SchedSpec* sched = nullptr);
+
+/// One named synthetic trace of the depfuzz lattices.
+struct NamedTrace {
+  const char* name;
+  Trace trace;
+  bool mt;
+};
+
+/// The depfuzz smoke traces: seven sequential shapes (uniform, strided,
+/// zipf, loop-carried, churn, nest3, churn-nest), then the two MT ones
+/// (mt-pc, mt-churn).
+std::vector<NamedTrace> smoke_traces(std::size_t accesses,
+                                     std::size_t distinct);
 
 }  // namespace depprof

@@ -10,13 +10,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <string_view>
 
 namespace depprof {
 
 enum class QueueKind {
-  kLockFreeSpsc,  ///< single-producer/single-consumer ring (sequential targets)
-  kLockFreeMpmc,  ///< Vyukov bounded MPMC (multi-threaded targets, chunk pool)
-  kMutex,         ///< lock-based baseline (Fig. 5 "8T_lock-based" series)
+  kLockFree,  ///< lock-free ring: SPSC for one producer, Vyukov MPMC for many
+  kMutex,     ///< lock-based baseline (Fig. 5 "8T_lock-based" series)
 };
 
 /// Bounded FIFO of T.  Implementations are linearizable for the producer/
@@ -38,10 +38,23 @@ class ConcurrentQueue {
   virtual std::size_t capacity() const = 0;
 };
 
-/// Factory; `capacity` is rounded up to a power of two.
+/// Factory; `capacity` is rounded up to a power of two.  `multi_producer`
+/// picks the MPMC ring for kLockFree; the mutex queue serves both.
 template <typename T>
-std::unique_ptr<ConcurrentQueue<T>> make_queue(QueueKind kind, std::size_t capacity);
+std::unique_ptr<ConcurrentQueue<T>> make_queue(QueueKind kind,
+                                               bool multi_producer,
+                                               std::size_t capacity);
 
-const char* queue_kind_name(QueueKind kind);
+inline const char* queue_kind_name(QueueKind kind) {
+  return kind == QueueKind::kMutex ? "mutex" : "lock-free";
+}
+
+/// Parses a --queue / repro `queue=` value; false on unknown names.
+inline bool parse_queue_kind(std::string_view name, QueueKind& out) {
+  if (name == "lock-free") out = QueueKind::kLockFree;
+  else if (name == "mutex") out = QueueKind::kMutex;
+  else return false;
+  return true;
+}
 
 }  // namespace depprof

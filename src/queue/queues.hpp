@@ -11,25 +11,13 @@
 namespace depprof {
 
 template <typename T>
-std::unique_ptr<ConcurrentQueue<T>> make_queue(QueueKind kind, std::size_t capacity) {
-  switch (kind) {
-    case QueueKind::kLockFreeSpsc:
-      return std::make_unique<SpscQueue<T>>(capacity);
-    case QueueKind::kLockFreeMpmc:
-      return std::make_unique<MpmcQueue<T>>(capacity);
-    case QueueKind::kMutex:
-      return std::make_unique<MutexQueue<T>>(capacity);
-  }
-  return nullptr;
-}
-
-inline const char* queue_kind_name(QueueKind kind) {
-  switch (kind) {
-    case QueueKind::kLockFreeSpsc: return "lock-free-spsc";
-    case QueueKind::kLockFreeMpmc: return "lock-free-mpmc";
-    case QueueKind::kMutex: return "mutex";
-  }
-  return "?";
+std::unique_ptr<ConcurrentQueue<T>> make_queue(QueueKind kind,
+                                               bool multi_producer,
+                                               std::size_t capacity) {
+  if (kind == QueueKind::kMutex)
+    return std::make_unique<MutexQueue<T>>(capacity);
+  if (multi_producer) return std::make_unique<MpmcQueue<T>>(capacity);
+  return std::make_unique<SpscQueue<T>>(capacity);
 }
 
 }  // namespace depprof

@@ -11,7 +11,6 @@
 // oversubscribed.  `wait_until` bounds that burn with a three-phase policy:
 //
 //   kSpin  — pure busy-wait (pause instructions only); the paper's behaviour.
-//   kYield — bounded spin, then sched_yield between polls.
 //   kPark  — bounded spin, bounded yield, then block on an EventCount until
 //            a peer publishes work (default; degrades gracefully under load).
 //
@@ -36,25 +35,21 @@ namespace depprof {
 
 /// How a pipeline thread waits when it cannot make progress.
 enum class WaitKind {
-  kSpin,   ///< unbounded busy-wait (the paper's configuration)
-  kYield,  ///< spin briefly, then yield the processor between polls
-  kPark,   ///< spin, yield, then sleep on an eventcount until notified
+  kSpin,  ///< unbounded busy-wait (the paper's configuration)
+  kPark,  ///< spin, yield, then sleep on an eventcount until notified
 };
 
 inline const char* wait_kind_name(WaitKind kind) {
   switch (kind) {
     case WaitKind::kSpin: return "spin";
-    case WaitKind::kYield: return "yield";
     case WaitKind::kPark: return "park";
   }
   return "?";
 }
 
 /// Parses a --wait flag value; returns false on unknown names.
-inline bool parse_wait_kind(const char* name, WaitKind& out) {
-  const std::string_view v = name;
+inline bool parse_wait_kind(std::string_view v, WaitKind& out) {
   if (v == "spin") out = WaitKind::kSpin;
-  else if (v == "yield") out = WaitKind::kYield;
   else if (v == "park") out = WaitKind::kPark;
   else return false;
   return true;
@@ -143,8 +138,8 @@ struct WaitCounters {
 inline constexpr int kWaitSpinPolls = 256;
 inline constexpr int kWaitYieldPolls = 16;
 
-/// Blocks until poll() returns true, escalating spin → yield → park as the
-/// strategy permits.  `poll` must be safe to call repeatedly and is the only
+/// Blocks until poll() returns true: kSpin spins forever, kPark escalates
+/// spin → yield → park.  `poll` must be safe to call repeatedly and is the only
 /// way the wait exits; with kPark the peer that makes poll() true must
 /// notify `ec` afterwards.  A kPark round polls kWaitSpinPolls +
 /// kWaitYieldPolls times, registers with `ec`, polls once more, then blocks.
@@ -170,7 +165,6 @@ WaitCounters wait_until(WaitKind kind, EventCount& ec, Poll&& poll) {
       std::this_thread::yield();
       ++out.yields;
     }
-    if (kind == WaitKind::kYield) continue;
     const std::uint32_t key = ec.prepare_wait();
     if (poll()) {
       ec.cancel_wait();

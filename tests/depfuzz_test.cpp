@@ -12,11 +12,14 @@
 #include <utility>
 #include <vector>
 
+#include "core/serial_profiler.hpp"
 #include "oracle/corpus.hpp"
 #include "oracle/diff.hpp"
 #include "oracle/exact_oracle.hpp"
 #include "oracle/harness.hpp"
 #include "oracle/shrinker.hpp"
+#include "sig/hash_table_recorder.hpp"
+#include "sig/shadow_memory.hpp"
 #include "trace/generators.hpp"
 #include "trace/nest.hpp"
 #include "trace/trace.hpp"
@@ -226,8 +229,7 @@ TEST(Harness, ExactCasesHoldAcrossBackends) {
   p.distinct = 400;
   const Trace t = gen_churn(p, 0.2);
   for (const StorageKind storage :
-       {StorageKind::kPerfect, StorageKind::kShadow, StorageKind::kHashTable,
-        StorageKind::kPacked, StorageKind::kSignature}) {
+       {StorageKind::kPerfect, StorageKind::kPacked, StorageKind::kSignature}) {
     ProfilerConfig cfg;
     cfg.storage = storage;
     cfg.workers = 3;
@@ -235,6 +237,28 @@ TEST(Harness, ExactCasesHoldAcrossBackends) {
     const CaseOutcome outcome = run_case(t, cfg);
     EXPECT_TRUE(outcome.ok) << storage_kind_name(storage) << "\n"
                             << outcome.detail;
+  }
+}
+
+/// The Sec. III-B baselines are not StorageKind values, so run_case cannot
+/// reach them; the benches that measure them build SerialProfiler over them
+/// directly, and here it must reproduce the oracle byte for byte on every
+/// sequential depfuzz smoke trace.
+TEST(Harness, BaselineStoresMatchOracleOnSmokeTraces) {
+  for (const NamedTrace& tr : smoke_traces(6000, 1500)) {
+    if (tr.mt) continue;
+    const DepMap oracle = oracle_dependences(tr.trace, false);
+    auto check = [&]<typename Store>(const char* name) {
+      ProfilerConfig cfg;
+      cfg.slots = 1u << 18;  // hash-table buckets
+      auto prof = make_serial_profiler_over<Store>(cfg);
+      replay(tr.trace, *prof);
+      const DepDiff d = diff_deps(oracle, prof->dependences());
+      EXPECT_TRUE(d.identical()) << name << " on " << tr.name << "\n"
+                                 << format_diff(d, "oracle", name);
+    };
+    check.operator()<ShadowMemory<SeqSlot>>("shadow");
+    check.operator()<HashTableRecorder<SeqSlot>>("hashtable");
   }
 }
 
@@ -278,8 +302,7 @@ TEST(Harness, EntryIterationCarriesAncestorLevelAcrossBackends) {
   std::filesystem::remove(path);
   const Trace zeroed = reentered_inner_trace(true);
   for (const StorageKind storage :
-       {StorageKind::kPerfect, StorageKind::kShadow, StorageKind::kHashTable,
-        StorageKind::kPacked, StorageKind::kSignature}) {
+       {StorageKind::kPerfect, StorageKind::kPacked, StorageKind::kSignature}) {
     ProfilerConfig cfg;
     cfg.storage = storage;
     cfg.workers = 2;
@@ -396,8 +419,7 @@ TEST(Harness, SampledCasesHoldAcrossBackends) {
   p.distinct = 256;
   const Trace t = gen_loop(p, 32, true);
   for (const StorageKind storage :
-       {StorageKind::kPerfect, StorageKind::kShadow, StorageKind::kHashTable,
-        StorageKind::kPacked, StorageKind::kSignature}) {
+       {StorageKind::kPerfect, StorageKind::kPacked, StorageKind::kSignature}) {
     ProfilerConfig cfg;
     cfg.storage = storage;
     cfg.workers = 3;
@@ -522,7 +544,7 @@ TEST(Shrinker, ConfigLadderSimplifiesWhenFailureIsConfigIndependent) {
   ProfilerConfig cfg;
   cfg.workers = 8;
   cfg.chunk_size = 1024;
-  cfg.queue = QueueKind::kLockFreeMpmc;
+  cfg.queue = QueueKind::kLockFree;
   cfg.wait = WaitKind::kPark;
   cfg.load_balance.enabled = true;
   cfg.modulo_routing = true;
@@ -560,13 +582,13 @@ TEST(Shrinker, KeepsConfigWhenSimplificationLosesTheFailure) {
 ReproCase sample_repro() {
   ReproCase r;
   r.note = "round-trip sample";
-  r.cfg.storage = StorageKind::kShadow;
+  r.cfg.storage = StorageKind::kPerfect;
   r.cfg.slots = 4096;
   r.cfg.sig_hash = SigHash::kMix;
   r.cfg.mt_targets = true;
   r.cfg.workers = 3;
-  r.cfg.queue = QueueKind::kLockFreeMpmc;
-  r.cfg.wait = WaitKind::kYield;
+  r.cfg.queue = QueueKind::kMutex;
+  r.cfg.wait = WaitKind::kSpin;
   r.cfg.chunk_size = 7;
   r.cfg.queue_capacity = 32;
   r.cfg.modulo_routing = true;
@@ -644,7 +666,7 @@ void expect_same_events(const Trace& a, const Trace& b) {
   }
 }
 
-// A complete v8 config line and lb line; tests edit single keys of them.
+// A complete v9 config line and lb line; tests edit single keys of them.
 const std::string kConfigLine =
     "config storage=perfect slots=16 sighash=modulo mt=0 workers=1 "
     "queue=mutex wait=spin chunk=1 qcap=4 modulo_routing=0 dedup=0 budget=1 "
@@ -664,16 +686,16 @@ std::string edit_key(const std::string& line, const std::string& key,
          line.substr(end);
 }
 
-/// A v8 repro: version line, config (line 2), lb (line 3), then `body`.
-std::string v8(const std::string& body = "",
+/// A v9 repro: version line, config (line 2), lb (line 3), then `body`.
+std::string v9(const std::string& body = "",
                const std::string& config = kConfigLine) {
-  return "depfuzz-repro v8\n" + config + "\n" + kLbLine + "\n" + body;
+  return "depfuzz-repro v9\n" + config + "\n" + kLbLine + "\n" + body;
 }
 
 TEST(Corpus, FormatParseRoundTrip) {
   const ReproCase original = sample_repro();
   const std::string text = format_repro(original);
-  EXPECT_EQ(text.rfind("depfuzz-repro v8\n", 0), 0u);
+  EXPECT_EQ(text.rfind("depfuzz-repro v9\n", 0), 0u);
   ReproCase back;
   std::string error;
   ASSERT_TRUE(parse_repro(back, text, &error)) << error;
@@ -696,7 +718,7 @@ TEST(Corpus, FormatParseRoundTrip) {
 
 TEST(Corpus, NestDirectivesRebuildChains) {
   const std::string text =
-      v8("nest id=1 parent=0 loop=50\n"
+      v9("nest id=1 parent=0 loop=50\n"
          "nest id=2 parent=1 loop=60\n"
          "ev W addr=0x100 loc=11 ctx=2 iters=3,4,0,0,0,0,0\n"
          "ev R addr=0x100 loc=12 ctx=1 iters=3,0,0,0,0,0,0\n");
@@ -719,14 +741,14 @@ TEST(Corpus, RejectsMalformedNests) {
   ReproCase out;
   std::string error;
   // Undeclared parent.
-  EXPECT_FALSE(parse_repro(out, v8("nest id=2 parent=1 loop=60\n"), &error));
+  EXPECT_FALSE(parse_repro(out, v9("nest id=2 parent=1 loop=60\n"), &error));
   // Duplicate id.
   EXPECT_FALSE(parse_repro(out,
-                           v8("nest id=1 parent=0 loop=50\n"
+                           v9("nest id=1 parent=0 loop=50\n"
                               "nest id=1 parent=0 loop=60\n"),
                            &error));
   // Event referencing an undeclared context.
-  EXPECT_FALSE(parse_repro(out, v8("ev W addr=0x1 ctx=7\n"), &error));
+  EXPECT_FALSE(parse_repro(out, v9("ev W addr=0x1 ctx=7\n"), &error));
 }
 
 TEST(Corpus, RejectsContradictoryAncestorIterations) {
@@ -741,18 +763,18 @@ TEST(Corpus, RejectsContradictoryAncestorIterations) {
       "nest id=3 parent=2 loop=70\n";
   const std::string first = "ev W addr=0x100 loc=11 ctx=2 iters=3,4,0,0,0,0,0\n";
   EXPECT_FALSE(parse_repro(
-      out, v8(nest + first + "ev R addr=0x100 loc=12 ctx=2 iters=5,4,0,0,0,0,0\n"),
+      out, v9(nest + first + "ev R addr=0x100 loc=12 ctx=2 iters=5,4,0,0,0,0,0\n"),
       &error));
   EXPECT_NE(error.find("line 8"), std::string::npos) << error;
   // The same contradiction reached through a descendant entry.
   EXPECT_FALSE(parse_repro(
-      out, v8(nest + first + "ev R addr=0x100 loc=12 ctx=3 iters=1,4,2,0,0,0,0\n"),
+      out, v9(nest + first + "ev R addr=0x100 loc=12 ctx=3 iters=1,4,2,0,0,0,0\n"),
       &error));
   EXPECT_NE(error.find("line 8"), std::string::npos) << error;
   // Consistent ancestors parse, and the derived entry iterations land in
   // the forest.
   ASSERT_TRUE(parse_repro(
-      out, v8(nest + first + "ev R addr=0x100 loc=12 ctx=3 iters=3,4,2,0,0,0,0\n"),
+      out, v9(nest + first + "ev R addr=0x100 loc=12 ctx=3 iters=3,4,2,0,0,0,0\n"),
       &error))
       << error;
   const NestForest& forest = nest_forest();
@@ -763,22 +785,22 @@ TEST(Corpus, RejectsContradictoryAncestorIterations) {
 TEST(Corpus, StrictParserRejectsUnknownInput) {
   ReproCase out;
   std::string error;
-  ASSERT_TRUE(parse_repro(out, v8(), &error)) << error;
+  ASSERT_TRUE(parse_repro(out, v9(), &error)) << error;
   EXPECT_FALSE(parse_repro(out, "", &error));
   EXPECT_FALSE(parse_repro(out, "something else\n", &error));
-  EXPECT_NE(error.find("line 1: expected version line 'depfuzz-repro v8'"),
+  EXPECT_NE(error.find("line 1: expected version line 'depfuzz-repro v9'"),
             std::string::npos)
       << error;
   // One grammar: every earlier version line is rejected, not upgraded.
-  for (int v = 1; v <= 7; ++v) {
+  for (int v = 1; v <= 8; ++v) {
     const std::string old = "depfuzz-repro v" + std::to_string(v);
-    std::string text = v8();
+    std::string text = v9();
     text.replace(0, text.find('\n'), old);
     EXPECT_FALSE(parse_repro(out, text, &error)) << old;
     EXPECT_NE(error.find("line 1: expected version line"), std::string::npos)
         << old << ": " << error;
   }
-  EXPECT_FALSE(parse_repro(out, v8("frobnicate 1\n"), &error));
+  EXPECT_FALSE(parse_repro(out, v9("frobnicate 1\n"), &error));
   EXPECT_NE(error.find("line 4: unknown directive 'frobnicate'"),
             std::string::npos)
       << error;
@@ -787,27 +809,35 @@ TEST(Corpus, StrictParserRejectsUnknownInput) {
   for (const std::string token : {"bogus_key=1", "pack=1", "pack=0",
                                    "batch=1"}) {
     const std::string cfg = edit_key(kConfigLine, "dedup", "dedup=0 " + token);
-    EXPECT_FALSE(parse_repro(out, v8("", cfg), &error)) << token;
+    EXPECT_FALSE(parse_repro(out, v9("", cfg), &error)) << token;
     EXPECT_NE(error.find("line 2: bad config token '" + token + "'"),
               std::string::npos)
         << error;
   }
-  EXPECT_FALSE(parse_repro(
-      out, v8("", edit_key(kConfigLine, "storage", "storage=warehouse")),
-      &error));
-  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
-  EXPECT_FALSE(parse_repro(out, v8("ev X addr=0x1\n"), &error));
+  // Unknown values, including the ones no longer offered: the Sec. III-B
+  // baseline stores, the per-multiplicity lock-free queues, the yield wait.
+  for (const std::string token :
+       {"storage=warehouse", "storage=shadow", "storage=hashtable",
+        "queue=lock-free-spsc", "queue=lock-free-mpmc", "wait=yield"}) {
+    const std::string key = token.substr(0, token.find('='));
+    EXPECT_FALSE(parse_repro(out, v9("", edit_key(kConfigLine, key, token)),
+                             &error));
+    EXPECT_NE(error.find("line 2: bad config token '" + token + "'"),
+              std::string::npos)
+        << error;
+  }
+  EXPECT_FALSE(parse_repro(out, v9("ev X addr=0x1\n"), &error));
   EXPECT_NE(error.find("line 4"), std::string::npos) << error;
   // The pre-nest-table (loop, entry, iter) triples are gone too.
   EXPECT_FALSE(
-      parse_repro(out, v8("ev W addr=0x1 loops=0:0:0,0:0:0,0:0:0\n"), &error));
+      parse_repro(out, v9("ev W addr=0x1 loops=0:0:0,0:0:0,0:0:0\n"), &error));
   EXPECT_NE(error.find("line 4: bad event token 'loops="), std::string::npos)
       << error;
   // Missing the config or lb line entirely.
-  EXPECT_FALSE(parse_repro(out, "depfuzz-repro v8\nnote hi\n", &error));
+  EXPECT_FALSE(parse_repro(out, "depfuzz-repro v9\nnote hi\n", &error));
   EXPECT_NE(error.find("missing config line"), std::string::npos) << error;
   EXPECT_FALSE(
-      parse_repro(out, "depfuzz-repro v8\n" + kConfigLine + "\n", &error));
+      parse_repro(out, "depfuzz-repro v9\n" + kConfigLine + "\n", &error));
   EXPECT_NE(error.find("missing lb line"), std::string::npos) << error;
 }
 
@@ -820,7 +850,7 @@ TEST(Corpus, EveryConfigAndLbKeyIsHardRequired) {
        {"storage", "slots", "sighash", "mt", "workers", "queue", "wait",
         "chunk", "qcap", "modulo_routing", "dedup", "budget", "burst", "skip",
         "races"}) {
-    EXPECT_FALSE(parse_repro(out, v8("", edit_key(kConfigLine, key, "")),
+    EXPECT_FALSE(parse_repro(out, v9("", edit_key(kConfigLine, key, "")),
                              &error))
         << key;
     EXPECT_NE(error.find("line 2: config line missing the " +
@@ -830,7 +860,7 @@ TEST(Corpus, EveryConfigAndLbKeyIsHardRequired) {
   }
   for (const char* key : {"enabled", "sample_shift", "interval", "threshold",
                           "top_k", "max_rounds"}) {
-    const std::string text = "depfuzz-repro v8\n" + kConfigLine + "\n" +
+    const std::string text = "depfuzz-repro v9\n" + kConfigLine + "\n" +
                              edit_key(kLbLine, key, "") + "\n";
     EXPECT_FALSE(parse_repro(out, text, &error)) << key;
     EXPECT_NE(error.find("line 3: lb line missing the " + std::string(key) +
@@ -845,21 +875,21 @@ TEST(Corpus, RaceModeConfigRule) {
   std::string error;
   std::string cfg = edit_key(edit_key(kConfigLine, "mt", "mt=1"), "races",
                              "races=1");
-  ASSERT_TRUE(parse_repro(out, v8("", cfg), &error)) << error;
+  ASSERT_TRUE(parse_repro(out, v9("", cfg), &error)) << error;
   EXPECT_TRUE(out.cfg.races);
   // The config rule mirrors races_config_ok(): race mode with sampling or
   // a sequential target could never have been recorded, so it must not
   // lint clean.
   EXPECT_FALSE(
-      parse_repro(out, v8("", edit_key(cfg, "budget", "budget=0.5")), &error));
+      parse_repro(out, v9("", edit_key(cfg, "budget", "budget=0.5")), &error));
   EXPECT_NE(error.find("line 2: races=1"), std::string::npos) << error;
   EXPECT_FALSE(
-      parse_repro(out, v8("", edit_key(cfg, "skip", "skip=4")), &error));
-  EXPECT_FALSE(parse_repro(out, v8("", edit_key(cfg, "mt", "mt=0")), &error));
+      parse_repro(out, v9("", edit_key(cfg, "skip", "skip=4")), &error));
+  EXPECT_FALSE(parse_repro(out, v9("", edit_key(cfg, "mt", "mt=0")), &error));
   // races=0 carries no preconditions.
   cfg = edit_key(edit_key(kConfigLine, "budget", "budget=0.5"), "skip",
                  "skip=4");
-  ASSERT_TRUE(parse_repro(out, v8("", cfg), &error)) << error;
+  ASSERT_TRUE(parse_repro(out, v9("", cfg), &error)) << error;
   EXPECT_FALSE(out.cfg.races);
   EXPECT_DOUBLE_EQ(out.cfg.budget, 0.5);
   EXPECT_EQ(out.cfg.sampling_skip, 4u);
@@ -899,34 +929,34 @@ TEST(Corpus, StrictParserRejectsAmbiguousShape) {
   std::string error;
   // A duplicate key within one line would silently last-write-win.
   EXPECT_FALSE(parse_repro(
-      out, v8("", kConfigLine + " storage=shadow"), &error));
+      out, v9("", kConfigLine + " storage=packed"), &error));
   EXPECT_NE(error.find("duplicate key 'storage'"), std::string::npos);
   EXPECT_NE(error.find("line 2"), std::string::npos);
-  EXPECT_FALSE(parse_repro(out, v8("ev W addr=0x1 addr=0x2\n"), &error));
+  EXPECT_FALSE(parse_repro(out, v9("ev W addr=0x1 addr=0x2\n"), &error));
   EXPECT_NE(error.find("duplicate key 'addr'"), std::string::npos);
   EXPECT_NE(error.find("line 4"), std::string::npos);
   // A second config (or lb) line would retroactively rewrite the first.
-  EXPECT_FALSE(parse_repro(out, v8(kConfigLine + "\n"), &error));
+  EXPECT_FALSE(parse_repro(out, v9(kConfigLine + "\n"), &error));
   EXPECT_NE(error.find("line 4: duplicate config line"), std::string::npos)
       << error;
-  EXPECT_FALSE(parse_repro(out, v8(kLbLine + "\n"), &error));
+  EXPECT_FALSE(parse_repro(out, v9(kLbLine + "\n"), &error));
   EXPECT_NE(error.find("line 4: duplicate lb line"), std::string::npos)
       << error;
   // Every directive except the provenance note needs the config line first.
   EXPECT_FALSE(parse_repro(
-      out, "depfuzz-repro v8\nev W addr=0x1\n" + kConfigLine + "\n", &error));
+      out, "depfuzz-repro v9\nev W addr=0x1\n" + kConfigLine + "\n", &error));
   EXPECT_NE(error.find("before the config line"), std::string::npos);
   EXPECT_NE(error.find("line 2"), std::string::npos);
   EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v8\nnest id=1 parent=0 loop=5\n" +
+                           "depfuzz-repro v9\nnest id=1 parent=0 loop=5\n" +
                                kConfigLine + "\n",
                            &error));
   EXPECT_NE(error.find("before the config line"), std::string::npos);
   // nest directives must carry parent= and loop= explicitly: a defaulted
   // value would silently re-shape the nest.
-  EXPECT_FALSE(parse_repro(out, v8("nest id=1 loop=5\n"), &error));
+  EXPECT_FALSE(parse_repro(out, v9("nest id=1 loop=5\n"), &error));
   EXPECT_NE(error.find("parent="), std::string::npos);
-  EXPECT_FALSE(parse_repro(out, v8("nest id=1 parent=0\n"), &error));
+  EXPECT_FALSE(parse_repro(out, v9("nest id=1 parent=0\n"), &error));
   EXPECT_NE(error.find("loop="), std::string::npos);
 }
 

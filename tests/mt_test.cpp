@@ -29,7 +29,6 @@ std::unique_ptr<IProfiler> make_mt_profiler(unsigned workers = 4) {
   cfg.storage = StorageKind::kPerfect;
   cfg.mt_targets = true;
   cfg.workers = workers;
-  cfg.queue = QueueKind::kLockFreeMpmc;
   return make_parallel_profiler(cfg);
 }
 

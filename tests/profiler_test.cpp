@@ -96,25 +96,8 @@ TEST(SerialProfiler, WordGranularityUnifiesSubWordAccesses) {
   EXPECT_NE(prof->dependences().find(k), nullptr);
 }
 
-TEST(SerialProfiler, AllStorageBackendsRun) {
-  GenParams p;
-  p.accesses = 5000;
-  p.distinct = 500;
-  const Trace t = gen_uniform(p);
-  for (StorageKind s : {StorageKind::kSignature, StorageKind::kPerfect,
-                        StorageKind::kShadow, StorageKind::kHashTable,
-                        StorageKind::kPacked}) {
-    ProfilerConfig cfg;
-    cfg.storage = s;
-    cfg.slots = 1u << 16;
-    auto prof = make_serial_profiler(cfg);
-    replay(t, *prof);
-    EXPECT_GT(prof->dependences().size(), 0u) << storage_kind_name(s);
-  }
-}
-
 TEST(SerialProfiler, ExactBackendsAgree) {
-  // Perfect signature, shadow memory, and hash table are all exact: they
+  // The perfect signature and the packed paged store are both exact: they
   // must produce identical dependence sets on any trace.
   GenParams p;
   p.accesses = 20'000;
@@ -123,14 +106,8 @@ TEST(SerialProfiler, ExactBackendsAgree) {
   ProfilerConfig cfg;
   cfg.storage = StorageKind::kPerfect;
   const DepMap perfect = run_serial(t, cfg);
-  cfg.storage = StorageKind::kShadow;
-  const DepMap shadow = run_serial(t, cfg);
-  cfg.storage = StorageKind::kHashTable;
-  const DepMap table = run_serial(t, cfg);
   cfg.storage = StorageKind::kPacked;
   const DepMap packed = run_serial(t, cfg);
-  EXPECT_TRUE(same_deps(perfect, shadow));
-  EXPECT_TRUE(same_deps(perfect, table));
   EXPECT_TRUE(same_deps(perfect, packed));
 }
 
@@ -183,14 +160,14 @@ TEST_P(SerialParallelEquivalence, IdenticalDependences) {
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, SerialParallelEquivalence,
-    ::testing::Values(EquivCase{QueueKind::kLockFreeSpsc, 1, 512, false},
-                      EquivCase{QueueKind::kLockFreeSpsc, 4, 512, false},
-                      EquivCase{QueueKind::kLockFreeSpsc, 8, 64, false},
-                      EquivCase{QueueKind::kLockFreeSpsc, 16, 1, false},
-                      EquivCase{QueueKind::kLockFreeMpmc, 4, 128, false},
+    ::testing::Values(EquivCase{QueueKind::kLockFree, 1, 512, false},
+                      EquivCase{QueueKind::kLockFree, 4, 512, false},
+                      EquivCase{QueueKind::kLockFree, 8, 64, false},
+                      EquivCase{QueueKind::kLockFree, 16, 1, false},
+                      EquivCase{QueueKind::kLockFree, 4, 128, false},
                       EquivCase{QueueKind::kMutex, 4, 512, false},
                       EquivCase{QueueKind::kMutex, 8, 32, true},
-                      EquivCase{QueueKind::kLockFreeSpsc, 4, 512, true}));
+                      EquivCase{QueueKind::kLockFree, 4, 512, true}));
 
 // Oversubscription axis (ISSUE 7): eight workers plus the producer pinned
 // to at most two CPUs, so the kernel preempts pipeline threads mid-hand-off
@@ -412,7 +389,7 @@ TEST_P(BackendQueueEquivalence, ByteIdenticalMergedMaps) {
   cfg.chunk_size = 128;
   // Waiting is not a semantics knob: every wait strategy must reproduce
   // the byte-identical merged map.
-  for (WaitKind wait : {WaitKind::kSpin, WaitKind::kYield, WaitKind::kPark}) {
+  for (WaitKind wait : {WaitKind::kSpin, WaitKind::kPark}) {
     cfg.wait = wait;
     auto prof = make_parallel_profiler(cfg);
     ASSERT_NE(prof, nullptr) << storage_kind_name(c.storage);
@@ -446,20 +423,11 @@ TEST_P(BackendQueueEquivalence, ByteIdenticalMergedMaps) {
 INSTANTIATE_TEST_SUITE_P(
     AllBackendsAllQueues, BackendQueueEquivalence,
     ::testing::Values(
-        BackendQueueCase{StorageKind::kSignature, QueueKind::kLockFreeSpsc},
-        BackendQueueCase{StorageKind::kSignature, QueueKind::kLockFreeMpmc},
+        BackendQueueCase{StorageKind::kSignature, QueueKind::kLockFree},
         BackendQueueCase{StorageKind::kSignature, QueueKind::kMutex},
-        BackendQueueCase{StorageKind::kPerfect, QueueKind::kLockFreeSpsc},
-        BackendQueueCase{StorageKind::kPerfect, QueueKind::kLockFreeMpmc},
+        BackendQueueCase{StorageKind::kPerfect, QueueKind::kLockFree},
         BackendQueueCase{StorageKind::kPerfect, QueueKind::kMutex},
-        BackendQueueCase{StorageKind::kShadow, QueueKind::kLockFreeSpsc},
-        BackendQueueCase{StorageKind::kShadow, QueueKind::kLockFreeMpmc},
-        BackendQueueCase{StorageKind::kShadow, QueueKind::kMutex},
-        BackendQueueCase{StorageKind::kHashTable, QueueKind::kLockFreeSpsc},
-        BackendQueueCase{StorageKind::kHashTable, QueueKind::kLockFreeMpmc},
-        BackendQueueCase{StorageKind::kHashTable, QueueKind::kMutex},
-        BackendQueueCase{StorageKind::kPacked, QueueKind::kLockFreeSpsc},
-        BackendQueueCase{StorageKind::kPacked, QueueKind::kLockFreeMpmc},
+        BackendQueueCase{StorageKind::kPacked, QueueKind::kLockFree},
         BackendQueueCase{StorageKind::kPacked, QueueKind::kMutex}));
 
 // ----------------- sampling axis (ISSUE 8): off / 100% / 50% / 10% duty
@@ -517,8 +485,6 @@ TEST_P(SamplingEquivalence, SubsetContractAndSerialParallelIdentity) {
 INSTANTIATE_TEST_SUITE_P(AllBackends, SamplingEquivalence,
                          ::testing::Values(StorageKind::kSignature,
                                            StorageKind::kPerfect,
-                                           StorageKind::kShadow,
-                                           StorageKind::kHashTable,
                                            StorageKind::kPacked));
 
 }  // namespace

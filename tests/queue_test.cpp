@@ -20,10 +20,24 @@ namespace {
 
 // ----------------------------------------------- common semantics (param.)
 
-class QueueSemantics : public ::testing::TestWithParam<QueueKind> {};
+/// One queue implementation as the factory selects it.
+struct QueueImpl {
+  QueueKind kind;
+  bool multi_producer;
+  const char* name;
+};
+
+class QueueSemantics : public ::testing::TestWithParam<QueueImpl> {
+ protected:
+  template <typename T>
+  std::unique_ptr<ConcurrentQueue<T>> make(std::size_t capacity) const {
+    return make_queue<T>(GetParam().kind, GetParam().multi_producer,
+                         capacity);
+  }
+};
 
 TEST_P(QueueSemantics, FifoOrder) {
-  auto q = make_queue<int>(GetParam(), 16);
+  auto q = make<int>(16);
   for (int i = 0; i < 10; ++i) EXPECT_TRUE(q->try_push(i));
   int v = -1;
   for (int i = 0; i < 10; ++i) {
@@ -34,7 +48,7 @@ TEST_P(QueueSemantics, FifoOrder) {
 }
 
 TEST_P(QueueSemantics, FullRejectsPush) {
-  auto q = make_queue<int>(GetParam(), 4);
+  auto q = make<int>(4);
   EXPECT_EQ(q->capacity(), 4u);
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(q->try_push(i));
   EXPECT_FALSE(q->try_push(99));
@@ -44,18 +58,18 @@ TEST_P(QueueSemantics, FullRejectsPush) {
 }
 
 TEST_P(QueueSemantics, EmptyRejectsPop) {
-  auto q = make_queue<int>(GetParam(), 4);
+  auto q = make<int>(4);
   int v;
   EXPECT_FALSE(q->try_pop(v));
 }
 
 TEST_P(QueueSemantics, CapacityRoundsUpToPow2) {
-  auto q = make_queue<int>(GetParam(), 5);
+  auto q = make<int>(5);
   EXPECT_EQ(q->capacity(), 8u);
 }
 
 TEST_P(QueueSemantics, SizeApproxTracksContent) {
-  auto q = make_queue<int>(GetParam(), 16);
+  auto q = make<int>(16);
   EXPECT_EQ(q->size_approx(), 0u);
   q->try_push(1);
   q->try_push(2);
@@ -66,7 +80,7 @@ TEST_P(QueueSemantics, SizeApproxTracksContent) {
 }
 
 TEST_P(QueueSemantics, WrapAroundManyTimes) {
-  auto q = make_queue<int>(GetParam(), 8);
+  auto q = make<int>(8);
   int v;
   for (int round = 0; round < 1000; ++round) {
     EXPECT_TRUE(q->try_push(round));
@@ -75,19 +89,22 @@ TEST_P(QueueSemantics, WrapAroundManyTimes) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllKinds, QueueSemantics,
-                         ::testing::Values(QueueKind::kLockFreeSpsc,
-                                           QueueKind::kLockFreeMpmc,
-                                           QueueKind::kMutex),
-                         [](const auto& info) {
-                           return std::string(queue_kind_name(info.param))
-                                      .find("spsc") != std::string::npos
-                                      ? "spsc"
-                                  : queue_kind_name(info.param) ==
-                                          std::string("lock-free-mpmc")
-                                      ? "mpmc"
-                                      : "mutex";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, QueueSemantics,
+    ::testing::Values(QueueImpl{QueueKind::kLockFree, false, "spsc"},
+                      QueueImpl{QueueKind::kLockFree, true, "mpmc"},
+                      QueueImpl{QueueKind::kMutex, false, "mutex"}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+TEST(QueueKindNames, RoundTripAndRejectRemovedSpellings) {
+  QueueKind parsed{};
+  for (QueueKind k : {QueueKind::kLockFree, QueueKind::kMutex}) {
+    ASSERT_TRUE(parse_queue_kind(queue_kind_name(k), parsed));
+    EXPECT_EQ(parsed, k);
+  }
+  for (const char* gone : {"lock-free-spsc", "lock-free-mpmc", "lockfree"})
+    EXPECT_FALSE(parse_queue_kind(gone, parsed)) << gone;
+}
 
 // -------------------------------------------------- cross-thread transfer
 
@@ -243,18 +260,19 @@ TEST(Chunk, CapacityHoldsConfiguredEvents) {
 // -------------------------------------------------- wait strategies
 
 TEST(WaitStrategy, NamesRoundTrip) {
-  for (WaitKind k : {WaitKind::kSpin, WaitKind::kYield, WaitKind::kPark}) {
+  for (WaitKind k : {WaitKind::kSpin, WaitKind::kPark}) {
     WaitKind parsed{};
     ASSERT_TRUE(parse_wait_kind(wait_kind_name(k), parsed));
     EXPECT_EQ(parsed, k);
   }
   WaitKind parsed{};
   EXPECT_FALSE(parse_wait_kind("busyloop", parsed));
+  EXPECT_FALSE(parse_wait_kind("yield", parsed));
 }
 
 TEST(WaitStrategy, ImmediateConditionNeverWaits) {
   EventCount ec;
-  for (WaitKind k : {WaitKind::kSpin, WaitKind::kYield, WaitKind::kPark}) {
+  for (WaitKind k : {WaitKind::kSpin, WaitKind::kPark}) {
     const WaitCounters wc = wait_until(k, ec, [] { return true; });
     EXPECT_EQ(wc.parks, 0u);
     EXPECT_EQ(wc.parked_ns, 0u);

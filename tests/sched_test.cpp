@@ -207,7 +207,7 @@ TEST(ReproSchedTest, SstepBeforeSchedIsRejected) {
   std::string error;
   ReproCase out;
   EXPECT_FALSE(parse_repro(out,
-                           "depfuzz-repro v8\n"
+                           "depfuzz-repro v9\n"
                            "config storage=perfect slots=16 sighash=modulo "
                            "mt=0 workers=1 queue=mutex wait=spin chunk=1 "
                            "qcap=4 modulo_routing=0 dedup=0 budget=1 "

@@ -90,7 +90,7 @@ TEST(ParallelStress, ConcurrentProducersHighTidsTinyQueues) {
   auto serial = make_serial_profiler(cfg);
   replay(serial_trace, *serial);
 
-  for (WaitKind wait : {WaitKind::kSpin, WaitKind::kYield, WaitKind::kPark}) {
+  for (WaitKind wait : {WaitKind::kSpin, WaitKind::kPark}) {
     cfg.workers = 4;
     cfg.chunk_size = 4;
     cfg.queue_capacity = 2;
@@ -137,25 +137,21 @@ TEST(ParallelStress, MigrationsUnderTinyQueuesPreserveDeps) {
     return s->take_dependences();
   }();
 
-  for (WaitKind wait : {WaitKind::kYield, WaitKind::kPark}) {
-    cfg.workers = 4;
-    cfg.chunk_size = 8;
-    cfg.queue_capacity = 2;
-    cfg.wait = wait;
-    cfg.load_balance.enabled = true;
-    cfg.load_balance.eval_interval_chunks = 100;
-    cfg.load_balance.imbalance_threshold = 1.02;
-    cfg.load_balance.top_k = 10;
-    cfg.load_balance.max_rounds = 64;
-    auto prof = make_parallel_profiler(cfg);
-    replay(t, *prof);
+  cfg.workers = 4;
+  cfg.chunk_size = 8;
+  cfg.queue_capacity = 2;
+  cfg.wait = WaitKind::kPark;
+  cfg.load_balance.enabled = true;
+  cfg.load_balance.eval_interval_chunks = 100;
+  cfg.load_balance.imbalance_threshold = 1.02;
+  cfg.load_balance.top_k = 10;
+  cfg.load_balance.max_rounds = 64;
+  auto prof = make_parallel_profiler(cfg);
+  replay(t, *prof);
 
-    const ProfilerStats st = prof->stats();
-    EXPECT_GT(st.migrated_addresses, 0u)
-        << "migration path not exercised, wait=" << wait_kind_name(wait);
-    EXPECT_TRUE(same_deps(serial, prof->dependences()))
-        << "wait=" << wait_kind_name(wait);
-  }
+  const ProfilerStats st = prof->stats();
+  EXPECT_GT(st.migrated_addresses, 0u) << "migration path not exercised";
+  EXPECT_TRUE(same_deps(serial, prof->dependences()));
 }
 
 // Workers parked on empty queues must be woken by the stop sentinels: a
@@ -216,46 +212,6 @@ TEST(ParallelStress, BackpressureCountersReflectBlocking) {
     }
   EXPECT_GT(worker_parks, 0u);  // the pre-replay starvation guarantees parks
   EXPECT_GT(worker_idle, 0u);
-}
-
-// An explicit pool_chunks below the liveness floor (workers + 2) could
-// deadlock the sealed pool: the producer stages its only chunk for one
-// worker, then blocks forever acquiring one for the next — the pending
-// chunk never flushes while the producer is blocked, and the workers have
-// nothing to recycle.  Overhead-budget sampling makes the quiescent-producer
-// window routine (a skipped unit produces nothing), so the plan must clamp
-// the population up to the floor.  The ctest timeout is the hang detector.
-TEST(ParallelStress, UndersizedSealedPoolIsClampedNotDeadlocked) {
-  GenParams p;
-  p.accesses = 60'000;
-  p.distinct = 256;
-  const Trace t = gen_uniform(p);
-
-  ProfilerConfig cfg;
-  cfg.storage = StorageKind::kPerfect;
-  const DepMap serial = [&] {
-    auto s = make_serial_profiler(cfg);
-    replay(t, *s);
-    return s->take_dependences();
-  }();
-
-  cfg.workers = 8;  // oversubscribed on most CI hosts
-  cfg.chunk_size = 4;
-  cfg.queue_capacity = 2;
-  cfg.pool_chunks = 1;  // far below the workers + 2 floor
-  cfg.wait = WaitKind::kPark;
-  auto prof = make_parallel_profiler(cfg);
-  // Bursty delivery with quiescent windows in between — the schedule a
-  // mid-burst skip produces on a live run.
-  constexpr std::size_t kBatch = 32;
-  for (std::size_t off = 0; off < t.events.size(); off += kBatch) {
-    prof->on_batch(t.events.data() + off,
-                   std::min(kBatch, t.events.size() - off));
-    if ((off / kBatch) % 64 == 0)
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-  prof->finish();
-  EXPECT_TRUE(same_deps(serial, prof->dependences()));
 }
 
 // Target threads keep calling into the runtime while the main thread

@@ -128,19 +128,18 @@ TEST(TaskGraphRaces, SerialAndParallelReportsIdenticalAcrossBackendsAndQueues) {
   const Workload* w = find_workload("taskgraph-racy");
   ASSERT_NE(w, nullptr);
 
-  // One MT-recorded trace feeds every profiler, so the 15-case matrix
-  // compares identical inputs: 5 store backends x 3 queue kinds, each
-  // parallel report against the same-backend serial reference.
+  // One MT-recorded trace feeds every profiler, so the 6-case matrix
+  // compares identical inputs: 3 store backends x 2 queue kinds (the
+  // lock-free kind is the MPMC ring for MT targets), each parallel report
+  // against the same-backend serial reference.
   RunOptions ropts;
   ropts.target_threads = 2;
   const Trace trace = record_workload(*w, ropts);
   ASSERT_GT(trace.size(), 0u);
 
   const StorageKind backends[] = {StorageKind::kSignature, StorageKind::kPerfect,
-                                  StorageKind::kShadow, StorageKind::kHashTable,
                                   StorageKind::kPacked};
-  const QueueKind queues[] = {QueueKind::kLockFreeSpsc, QueueKind::kLockFreeMpmc,
-                              QueueKind::kMutex};
+  const QueueKind queues[] = {QueueKind::kLockFree, QueueKind::kMutex};
   for (StorageKind backend : backends) {
     ProfilerConfig cfg = races_cfg(backend);
     auto serial = make_serial_profiler(cfg);

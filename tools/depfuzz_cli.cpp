@@ -8,7 +8,7 @@
 // mismatch the ddmin shrinker minimizes the (trace, config) pair and, with
 // --corpus, writes a replayable repro for tests/corpus/.
 //
-//   depfuzz --smoke [--corpus DIR]       deterministic PR-gate lattice (~60 cases)
+//   depfuzz --smoke [--corpus DIR]       deterministic PR-gate lattice (28 cases)
 //   depfuzz --deep [--runs N] [--seconds S] [--seed S] [--corpus DIR]
 //                                        randomized nightly sweep
 //   depfuzz --schedules [--runs N] [--seed S] [--corpus DIR]
@@ -38,7 +38,6 @@
 #include "oracle/corpus.hpp"
 #include "oracle/harness.hpp"
 #include "oracle/shrinker.hpp"
-#include "queue/queues.hpp"
 #include "trace/generators.hpp"
 
 namespace depprof {
@@ -51,12 +50,6 @@ struct FuzzCase {
   /// --schedules: run the parallel side under the interleaving controller.
   bool sched = false;
   SchedSpec sched_spec;
-};
-
-struct NamedTrace {
-  const char* name;
-  Trace trace;
-  bool mt;
 };
 
 /// Storage half of the lattice.  The two signature points pin down both
@@ -73,14 +66,12 @@ constexpr StoragePoint kStorages[] = {
     {"sig-exact", StorageKind::kSignature, 1u << 18, SigHash::kModulo},
     {"sig-bounded", StorageKind::kSignature, 1u << 14, SigHash::kMix},
     {"perfect", StorageKind::kPerfect, 1u << 18, SigHash::kModulo},
-    {"shadow", StorageKind::kShadow, 1u << 18, SigHash::kModulo},
-    {"hashtable", StorageKind::kHashTable, 1u << 18, SigHash::kModulo},
     {"packed", StorageKind::kPacked, 1u << 18, SigHash::kModulo},
 };
-constexpr QueueKind kQueues[] = {QueueKind::kLockFreeSpsc,
-                                 QueueKind::kLockFreeMpmc, QueueKind::kMutex};
-constexpr WaitKind kWaits[] = {WaitKind::kSpin, WaitKind::kYield,
-                               WaitKind::kPark};
+/// The lock-free kind runs as the SPSC ring on sequential cases and as the
+/// MPMC ring on MT cases, so every queue implementation is in the lattice.
+constexpr QueueKind kQueues[] = {QueueKind::kLockFree, QueueKind::kMutex};
+constexpr WaitKind kWaits[] = {WaitKind::kSpin, WaitKind::kPark};
 constexpr unsigned kWorkerCounts[] = {1, 2, 4, 8};
 constexpr std::size_t kChunkSizes[] = {1, 7, 1024};
 
@@ -96,36 +87,10 @@ LoadBalanceConfig active_balancer() {
   return lb;
 }
 
-std::vector<NamedTrace> smoke_traces(std::size_t accesses,
-                                     std::size_t distinct) {
-  GenParams p;
-  p.accesses = accesses;
-  p.distinct = distinct;
-  std::vector<NamedTrace> traces;
-  traces.push_back({"uniform", gen_uniform(p), false});
-  traces.push_back({"strided", gen_strided(p), false});
-  traces.push_back({"zipf", gen_zipf(p, 1.2), false});
-  GenParams lp = p;
-  lp.distinct = 256;
-  traces.push_back({"loop-carried", gen_loop(lp, 24, true), false});
-  GenParams cp = p;
-  cp.distinct = 512;
-  traces.push_back({"churn", gen_churn(cp, 0.3), false});
-  // Nested traces: a deep imperfect nest (zero-iteration inner entries,
-  // sibling re-entry) and churn stamped under a three-deep nest — the cases
-  // that exercise common-loop attribution.
-  GenParams np = p;
-  np.accesses = accesses;
-  traces.push_back({"nest3", gen_nest(np, 3, 4), false});
-  traces.push_back({"churn-nest", gen_churn(cp, 0.2, 0, 3), false});
-  traces.push_back({"mt-pc", gen_mt_producer_consumer(p, 4, 64), true});
-  traces.push_back({"mt-churn", gen_churn(cp, 0.25, 4), true});
-  return traces;
-}
-
 /// Deterministic smoke lattice: every storage x queue x chunk point, with
-/// wait, workers, load-balance, and trace round-robined by case index, plus
-/// one MT case per storage backend.
+/// wait, workers, load-balance, and trace round-robined by case index (the
+/// wait flips every four cases, so each worker count runs both), plus one
+/// MT case per storage backend.
 std::vector<FuzzCase> smoke_cases() {
   const std::vector<NamedTrace> traces = smoke_traces(6000, 1500);
   std::vector<FuzzCase> cases;
@@ -140,7 +105,7 @@ std::vector<FuzzCase> smoke_cases() {
         c.cfg.sig_hash = sp.hash;
         c.cfg.queue = queue;
         c.cfg.chunk_size = chunk;
-        c.cfg.wait = kWaits[idx % 3];
+        c.cfg.wait = kWaits[(idx / 4) % 2];
         c.cfg.workers = kWorkerCounts[idx % 4];
         if (idx % 2 == 0) c.cfg.load_balance = active_balancer();
         c.cfg.mt_targets = false;
@@ -192,9 +157,9 @@ std::vector<FuzzCase> smoke_cases() {
     c.cfg.slots = sp.slots;
     c.cfg.sig_hash = sp.hash;
     c.cfg.mt_targets = true;
-    c.cfg.queue = kQueues[s % 3];
+    c.cfg.queue = kQueues[s % 2];
     c.cfg.chunk_size = kChunkSizes[s % 3];
-    c.cfg.wait = kWaits[s % 3];
+    c.cfg.wait = kWaits[(s / 2) % 2];
     c.cfg.workers = 4;
     if (s % 2 == 1) c.cfg.load_balance = active_balancer();
     // MT events never dedup (fresh timestamps), but the axis still alters
@@ -267,8 +232,8 @@ FuzzCase random_case(Rng& rng, std::uint64_t seq) {
   c.cfg.slots = sp.slots;
   c.cfg.sig_hash = sp.hash;
   c.cfg.mt_targets = mt;
-  c.cfg.queue = kQueues[rng.below(3)];
-  c.cfg.wait = kWaits[rng.below(3)];
+  c.cfg.queue = kQueues[rng.below(2)];
+  c.cfg.wait = kWaits[rng.below(2)];
   c.cfg.workers = kWorkerCounts[rng.below(4)];
   c.cfg.chunk_size = kChunkSizes[rng.below(3)];
   c.cfg.queue_capacity = 4u << rng.below(5);
@@ -297,7 +262,8 @@ FuzzCase random_case(Rng& rng, std::uint64_t seq) {
 /// Deterministic-schedule lattice: queue x wait at 2 and 8 workers,
 /// exact-expectation storages only (sig-exact / perfect alternate) so any
 /// schedule-dependent divergence is a hard byte-level failure, with the
-/// exploration seed and algorithm varied per case.  `extra` appends that
+/// exploration seed and algorithm varied per case.  One MT case per worker
+/// count runs the lock-free kind as the MPMC ring.  `extra` appends that
 /// many additional seeds on the flake-shaped point — eight workers, the
 /// default SPSC/park transport — which is where the cross-attribution bug
 /// this lattice exists to catch actually lived.
@@ -309,37 +275,43 @@ std::vector<FuzzCase> schedule_cases(std::uint64_t seed, std::size_t extra) {
   std::vector<FuzzCase> cases;
   std::size_t idx = 0;
   auto make = [&](unsigned workers, QueueKind queue, WaitKind wait,
-                  std::uint64_t case_seed) {
+                  std::uint64_t case_seed, bool mt) {
     const StoragePoint& sp = kStorages[idx % 2 == 0 ? 0 : 2];
     FuzzCase c;
     c.cfg.storage = sp.storage;
     c.cfg.slots = sp.slots;
     c.cfg.sig_hash = sp.hash;
+    c.cfg.mt_targets = mt;
     c.cfg.workers = workers;
     c.cfg.queue = queue;
     c.cfg.wait = wait;
     c.cfg.dedup = (idx / 2) % 2 == 0;
     c.cfg.chunk_size = kChunkSizes[idx % 3];
-    const NamedTrace& tr = traces[idx % 7];  // sequential traces only
+    // Sequential cases take the sequential traces; MT cases mt-pc/mt-churn.
+    const NamedTrace& tr = mt ? traces[7 + idx % 2] : traces[idx % 7];
     c.trace = tr.trace;
     c.sched = true;
     c.sched_spec.seed = case_seed;
     c.sched_spec.algo =
         idx % 2 == 0 ? sched::Algo::kRandomWalk : sched::Algo::kPct;
     c.name = std::string("sched/") + sp.name + "/w" + std::to_string(workers) +
-             "/" + queue_kind_name(queue) + "/" + wait_kind_name(wait) +
-             (c.cfg.dedup ? "/dedup" : "") +
+             (mt ? "/mt/" : "/") + queue_kind_name(queue) + "/" +
+             wait_kind_name(wait) + (c.cfg.dedup ? "/dedup" : "") +
              "/chunk" + std::to_string(c.cfg.chunk_size) + "/" + tr.name +
              "/" + sched::algo_name(c.sched_spec.algo) + "-seed" +
              std::to_string(case_seed);
     cases.push_back(std::move(c));
     ++idx;
   };
-  for (const unsigned workers : {2u, 8u})
+  for (const unsigned workers : {2u, 8u}) {
     for (const QueueKind queue : kQueues)
-      for (const WaitKind wait : kWaits) make(workers, queue, wait, seed + idx);
+      for (const WaitKind wait : kWaits)
+        make(workers, queue, wait, seed + idx, false);
+    make(workers, QueueKind::kLockFree, kWaits[workers == 2 ? 0 : 1],
+         seed + idx, true);
+  }
   for (std::size_t i = 0; i < extra; ++i)
-    make(8, QueueKind::kLockFreeSpsc, WaitKind::kPark, seed + 1000 + i);
+    make(8, QueueKind::kLockFree, WaitKind::kPark, seed + 1000 + i, false);
   return cases;
 }
 

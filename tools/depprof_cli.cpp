@@ -14,15 +14,18 @@
 //                        / serial), text by default
 //
 // Options:
-//   --storage signature|perfect|shadow|hashtable|packed
-//                        (default signature; packed = SLAMP-style paged
+//   --storage signature|perfect|packed
+//                        (default signature; perfect = collision-free
+//                        accuracy baseline; packed = SLAMP-style paged
 //                        shadow memory with packed 64-bit words — exact,
 //                        memory proportional to touched pages)
 //   --slots N            signature slots per signature   (default 1M)
 //   --parallel           use the Fig. 2 pipeline
 //   --workers N          pipeline workers                 (default 8)
-//   --queue lockfree|mpmc|mutex                          (default lockfree)
-//   --wait spin|yield|park   pipeline wait strategy at the blocking sites
+//   --queue lock-free|mutex  worker queues (default lock-free: an SPSC ring,
+//                        or an MPMC ring for --mt-threads targets; mutex is
+//                        the Fig. 5 lock-based baseline)
+//   --wait spin|park     pipeline wait strategy at the blocking sites
 //                        (idle workers, full queues, migration mailbox;
 //                        default park — see src/queue/wait_strategy.hpp)
 //   --dedup / --no-dedup front-end redundancy elision: collapse exact access
@@ -61,7 +64,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -112,19 +114,7 @@ bool parse(int argc, char** argv, int start, CliOptions& out) {
     };
     if (arg == "--storage") {
       const char* v = next();
-      if (v == nullptr) return false;
-      if (std::strcmp(v, "signature") == 0)
-        out.cfg.storage = StorageKind::kSignature;
-      else if (std::strcmp(v, "perfect") == 0)
-        out.cfg.storage = StorageKind::kPerfect;
-      else if (std::strcmp(v, "shadow") == 0)
-        out.cfg.storage = StorageKind::kShadow;
-      else if (std::strcmp(v, "hashtable") == 0)
-        out.cfg.storage = StorageKind::kHashTable;
-      else if (std::strcmp(v, "packed") == 0)
-        out.cfg.storage = StorageKind::kPacked;
-      else
-        return false;
+      if (v == nullptr || !parse_storage_kind(v, out.cfg.storage)) return false;
     } else if (arg == "--slots") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -137,15 +127,7 @@ bool parse(int argc, char** argv, int start, CliOptions& out) {
       out.cfg.workers = static_cast<unsigned>(std::atoi(v));
     } else if (arg == "--queue") {
       const char* v = next();
-      if (v == nullptr) return false;
-      if (std::strcmp(v, "mutex") == 0)
-        out.cfg.queue = QueueKind::kMutex;
-      else if (std::strcmp(v, "lockfree") == 0)
-        out.cfg.queue = QueueKind::kLockFreeSpsc;
-      else if (std::strcmp(v, "mpmc") == 0)
-        out.cfg.queue = QueueKind::kLockFreeMpmc;
-      else
-        return false;
+      if (v == nullptr || !parse_queue_kind(v, out.cfg.queue)) return false;
     } else if (arg == "--wait") {
       const char* v = next();
       if (v == nullptr || !parse_wait_kind(v, out.cfg.wait)) return false;
